@@ -16,6 +16,7 @@
 open Cmdliner
 module E = Dpu_workload.Experiment
 module F = Dpu_workload.Figures
+module Corpus = Dpu_workload.Corpus
 module Stats = Dpu_engine.Stats
 
 (* ------------------------------------------------------------------ *)
@@ -59,7 +60,7 @@ let approach_conv =
 (* ------------------------------------------------------------------ *)
 
 let scenario n load seed duration switch_at initial switch_to approach loss batch check
-    crashes consensus_layer switch_consensus_to switch_consensus_at faults nemesis_seed
+    consensus_layer switch_consensus_to switch_consensus_at faults nemesis_seed
     nemesis_faults metrics_out spans_out csv_out log_out =
   let consensus_layer =
     if consensus_layer || switch_consensus_to <> None then
@@ -107,7 +108,7 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
       log_out;
     }
   in
-  let r = E.run ~crash_at:crashes params in
+  let r = E.run params in
   Printf.printf "sent %d, delivered everywhere %d, correct nodes {%s}\n" r.E.sent
     r.E.delivered_everywhere
     (String.concat "," (List.map string_of_int r.E.correct));
@@ -122,6 +123,8 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
   | None -> print_endline "no replacement performed");
   if r.E.blocked_ms > 0.0 then
     Printf.printf "application blocked for %.1f ms\n" r.E.blocked_ms;
+  if faults <> [] then
+    Format.printf "faults: %a@." Dpu_faults.Fault_transport.pp_stats r.E.fault_stats;
   (match metrics_out with
   | Some path ->
     Dpu_obs.Json.to_file path (Dpu_obs.Metrics.to_json r.E.metrics);
@@ -166,16 +169,6 @@ let fault_conv =
   in
   Arg.conv (parse, Dpu_faults.Schedule.pp_event)
 
-let crash_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ t; node ] -> (
-      try Ok (float_of_string t, int_of_string node)
-      with Failure _ -> Error (`Msg "expected TIME_MS:NODE"))
-    | _ -> Error (`Msg "expected TIME_MS:NODE")
-  in
-  Arg.conv (parse, fun ppf (t, node) -> Format.fprintf ppf "%.0f:%d" t node)
-
 let scenario_cmd =
   let duration =
     Arg.(
@@ -214,11 +207,6 @@ let scenario_cmd =
   let check =
     Arg.(value & flag & info [ "check" ] ~doc:"Verify all correctness properties afterwards.")
   in
-  let crashes =
-    Arg.(
-      value & opt_all crash_conv []
-      & info [ "crash" ] ~docv:"MS:NODE" ~doc:"Fail-stop NODE at time MS (repeatable).")
-  in
   let consensus_layer =
     Arg.(
       value & flag
@@ -243,8 +231,8 @@ let scenario_cmd =
       value & opt_all fault_conv []
       & info [ "fault" ] ~docv:"SPEC"
           ~doc:
-            "Schedule a fault (repeatable). SPEC is one of crash@T:NODE, \
-             recover@T:NODE, partition@T:0,1|2,3, heal@T, \
+            "Schedule a fault (repeatable). SPEC is one of crash@T:NODE \
+             (fail-stop), recover@T:NODE, partition@T:0,1|2,3, heal@T, \
              loss@FROM-UNTIL:P, dup@FROM-UNTIL:P, \
              slow@FROM-UNTIL:SRC>DST:LAT_MS.")
   in
@@ -297,7 +285,7 @@ let scenario_cmd =
   let term =
     Term.(
       const scenario $ n_arg $ load_arg $ seed_arg $ duration $ switch_at $ initial
-      $ switch_to $ approach $ loss $ batch $ check $ crashes $ consensus_layer
+      $ switch_to $ approach $ loss $ batch $ check $ consensus_layer
       $ switch_consensus_to $ switch_consensus_at $ faults $ nemesis_seed
       $ nemesis_faults $ metrics_out $ spans_out $ csv_out $ log_out)
   in
@@ -665,11 +653,10 @@ let check_cmd =
 (* serve — live deployment over real UDP sockets                      *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_switches (sc : Dpu_faults.Corpus.t) =
+let corpus_switches (sc : Corpus.t) =
   List.map
-    (fun (s : Dpu_faults.Corpus.switch) ->
-      (s.Dpu_faults.Corpus.sw_at, s.Dpu_faults.Corpus.sw_node, s.Dpu_faults.Corpus.sw_to))
-    sc.Dpu_faults.Corpus.switches
+    (fun (s : Corpus.switch) -> (s.Corpus.sw_at, s.Corpus.sw_node, s.Corpus.sw_to))
+    sc.Corpus.switches
 
 let serve n load duration drain switch_at initial switch_to seed msg_size batching
     check nemesis scenario_name metrics_out spans_out trace_out logs_dir =
@@ -693,24 +680,23 @@ let serve n load duration drain switch_at initial switch_to seed msg_size batchi
     match scenario_name with
     | None -> params
     | Some name -> (
-      match Dpu_faults.Corpus.find name with
+      match Corpus.find name with
       | None ->
         Printf.eprintf "dpu_run serve: unknown scenario %S (have: %s)\n" name
-          (String.concat ", " (Dpu_faults.Corpus.names ()));
+          (String.concat ", " (Corpus.names ()));
         exit 2
       | Some sc ->
-        Printf.printf "scenario %s: %s\n" sc.Dpu_faults.Corpus.name
-          sc.Dpu_faults.Corpus.summary;
+        Printf.printf "scenario %s: %s\n" sc.Corpus.name sc.Corpus.summary;
         {
           params with
-          Dpu_live.Serve.n = sc.Dpu_faults.Corpus.n;
-          load = sc.Dpu_faults.Corpus.load;
-          duration_ms = sc.Dpu_faults.Corpus.duration_ms;
-          drain_ms = sc.Dpu_faults.Corpus.drain_ms;
-          initial = sc.Dpu_faults.Corpus.initial;
+          Dpu_live.Serve.n = sc.Corpus.n;
+          load = sc.Corpus.load;
+          duration_ms = sc.Corpus.duration_ms;
+          drain_ms = sc.Corpus.drain_ms;
+          initial = sc.Corpus.initial;
           switch_to = None;
           switches = corpus_switches sc;
-          nemesis = sc.Dpu_faults.Corpus.schedule;
+          nemesis = sc.Corpus.schedule;
         })
   in
   Printf.printf "serving %d nodes over UDP on 127.0.0.1 (%.0f msg/s for %.0f ms)\n%!"
@@ -749,11 +735,7 @@ let serve n load duration drain switch_at initial switch_to seed msg_size batchi
         match r.Dpu_live.Node.faults with
         | None -> ()
         | Some f ->
-          Printf.printf
-            "node %d faults: crash-blocked %d, partition-blocked %d, lost %d, \
-             duplicated %d, delayed %d, rx-blocked %d\n"
-            r.Dpu_live.Node.node f.FT.blocked_crash f.FT.blocked_partition
-            f.FT.injected_loss f.FT.injected_dup f.FT.delayed f.FT.rx_blocked)
+          Format.printf "node %d faults: %a@." r.Dpu_live.Node.node FT.pp_stats f)
       o.Dpu_live.Serve.node_reports;
     let collector = o.Dpu_live.Serve.collector in
     let planned =
@@ -933,7 +915,6 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 
 let corpus only live seed msg_size =
-  let module Corpus = Dpu_faults.Corpus in
   let module S = Dpu_workload.Scenario in
   let scenarios =
     match only with

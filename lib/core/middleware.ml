@@ -56,13 +56,14 @@ let of_system ?(config = default_config) ?register_extra system =
     next_seq = Array.make (System.n system) 0;
   }
 
-let create ?(config = default_config) ?register_extra ~n () =
+let create ?(config = default_config) ?register_extra ?faults ~n () =
   let metrics =
     if config.metrics_enabled then Dpu_obs.Metrics.create () else Dpu_obs.Metrics.noop
   in
   let system =
     System.create ~seed:config.seed ~loss:config.loss ~dup:config.dup ~link:config.link
-      ~hop_cost:config.hop_cost ~trace_enabled:config.trace_enabled ~metrics ~n ()
+      ?faults ~hop_cost:config.hop_cost ~trace_enabled:config.trace_enabled ~metrics ~n
+      ()
   in
   of_system ~config ?register_extra system
 

@@ -37,10 +37,18 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?register_extra:(System.t -> unit) -> n:int -> unit -> t
+val create :
+  ?config:config ->
+  ?register_extra:(System.t -> unit) ->
+  ?faults:Dpu_faults.Schedule.t ->
+  n:int ->
+  unit ->
+  t
 (** [register_extra] can register additional protocol factories (e.g.
     the executable baselines' replacement layers) before the stacks are
-    built. *)
+    built. [faults] is played against the network as in
+    {!Dpu_kernel.System.create}: its crashes silence the network
+    endpoint only — call {!crash} for a fail-stop. *)
 
 val of_system : ?config:config -> ?register_extra:(System.t -> unit) -> System.t -> t
 (** Like {!create}, but on a system the caller already built — e.g. a

@@ -43,8 +43,7 @@ module State = struct
     }
 
   (* Windows are half-open [from_, until): the instant a window closes
-     behaves exactly as if it never opened, matching the restore
-     callbacks Schedule.arm fires at [until] on the simulator path. *)
+     behaves exactly as if it never opened. *)
   let in_window ~now ~from_ ~until = from_ <= now && now < until
 
   let crashed t ~now node =
@@ -65,7 +64,7 @@ module State = struct
       | None | Some None -> false
       | Some (Some groups) ->
         (* Nodes missing from every group share one implicit leftover
-           group, mirroring [Datagram.partition]. *)
+           group. *)
         let group_of node =
           let rec find gid = function
             | [] -> -1
@@ -161,6 +160,13 @@ let stats t =
     delayed = t.delayed;
     rx_blocked = t.rx_blocked;
   }
+
+let pp_stats ppf (s : stats) =
+  Format.fprintf ppf
+    "crash-blocked %d, partition-blocked %d, lost %d, duplicated %d, delayed %d, \
+     rx-blocked %d"
+    s.blocked_crash s.blocked_partition s.injected_loss s.injected_dup s.delayed
+    s.rx_blocked
 
 let absorbed t = t.blocked_crash + t.blocked_partition + t.injected_loss
 

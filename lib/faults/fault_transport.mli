@@ -11,13 +11,14 @@
       what a nemesis can do to a live process without killing it (and
       exactly what [Recover] needs to be meaningful).
     - [Partition groups] / [Heal]: frames crossing group boundaries are
-      absorbed; nodes listed in no group share one implicit leftover
-      group, mirroring [Dpu_net.Datagram.partition].
+      absorbed, both when sent and when they arrive; nodes listed in
+      no group share one implicit leftover group.
     - [Loss_window] / [Dup_burst]: inside the window each frame is
       independently dropped (or sent twice) with probability [p], drawn
       from the shim's own deterministic {!Dpu_engine.Rng} so the
       wrapped transport's randomness is never perturbed. Overlapping
-      windows compose as independent trials.
+      windows, and the wrapped link's own loss/duplication, compose as
+      independent trials.
     - [Degrade_link]: frames on the (src, dst) link are deferred by a
       delay sampled from the window's latency model via the runtime
       {!Dpu_runtime.Clock} — added on top of whatever delay the wrapped
@@ -100,6 +101,10 @@ val transport : 'a t -> 'a Transport.t
     protocols' point of view. *)
 
 val stats : 'a t -> stats
+
+val pp_stats : Format.formatter -> stats -> unit
+(** One-line ledger: [crash-blocked N, partition-blocked N, lost N,
+    duplicated N, delayed N, rx-blocked N]. *)
 
 val counters : 'a t -> Transport.counters
 (** Same as the wrapped view's [counters]. *)

@@ -1,33 +1,37 @@
 (** Declarative, deterministic fault schedules.
 
-    A schedule is a list of timed actions against a {!Dpu_net.Datagram}
-    network: crashes, recoveries, partitions and heals fire at one
-    instant; loss windows, duplication bursts and link degradations
-    open and close around a time window. {!arm} compiles the schedule
-    into {!Dpu_engine.Sim} timers, so the same schedule on the same
-    seed replays the exact same adverse interleaving — a failing soak
-    reproduces from its seed alone.
+    A schedule is a list of timed actions against a network: crashes,
+    recoveries, partitions and heals fire at one instant; loss windows,
+    duplication bursts and link degradations open and close around a
+    time window. The only interpreter is {!Fault_transport}, which
+    reads the schedule as a pure function of the clock behind the
+    [Dpu_runtime.Transport] seam: [Dpu_kernel.System.create ~faults]
+    installs it over the simulated network, [Dpu_live] over real UDP
+    sockets. The same schedule on the same seed replays the exact same
+    adverse interleaving — a failing soak reproduces from its seed
+    alone.
 
-    Times are absolute virtual milliseconds (the harness arms
-    schedules at virtual time 0). *)
+    Times are absolute milliseconds on the clock of the run (virtual
+    time 0 is the start of a simulated run). *)
 
 module Latency = Dpu_net.Latency
 
 type window = { from_ : float; until : float }
 
 type action =
-  | Crash of int  (** silence a node (fail-stop unless recovered) *)
-  | Recover of int  (** un-crash a node; resets its egress clock *)
+  | Crash of int  (** silence a node's network endpoint until a [Recover] *)
+  | Recover of int  (** un-crash a node's network endpoint *)
   | Partition of int list list  (** groups; leftovers isolate together *)
   | Heal  (** remove any partition *)
   | Loss_window of { p : float; from_ : float; until : float }
-      (** raise iid datagram loss to [p] inside the window, then
-          restore the probability in force when the window opened *)
+      (** drop each frame sent inside the window with probability [p],
+          an independent trial on top of the link's own loss *)
   | Dup_burst of { p : float; from_ : float; until : float }
-      (** raise iid datagram duplication to [p] inside the window *)
+      (** send each frame inside the window twice with probability
+          [p], on top of the link's own duplication *)
   | Degrade_link of { src : int; dst : int; link : Latency.link; window : window }
-      (** give one directed pair a (typically slower) link inside the
-          window, then restore the default *)
+      (** defer frames on one directed pair inside the window by a
+          delay drawn from [link], added to the pair's normal delay *)
 
 type event = { at : float; action : action }
 (** For windowed actions [at] is the opening time of the window; the
@@ -67,7 +71,8 @@ val crashed_before : t -> time:float -> int list
 
 val validate : n:int -> t -> (unit, string) result
 (** Check node indices against [n], probabilities in [0, 1], windows
-    non-empty and times non-negative. *)
+    non-empty, times non-negative and instant events at a finite
+    time (a window may stay open until [infinity]). *)
 
 val pp_action : Format.formatter -> action -> unit
 
@@ -89,24 +94,3 @@ val event_of_spec : string -> (event, string) result
 
 val of_specs : string list -> (t, string) result
 (** Parse every spec; the first error aborts. *)
-
-(** {1 Interpretation} *)
-
-val arm :
-  ?crash_node:(int -> unit) ->
-  ?recover_node:(int -> unit) ->
-  ?on_event:(float -> string -> unit) ->
-  'a Dpu_net.Datagram.t ->
-  t ->
-  unit
-(** Compile the schedule into simulator timers against the network.
-
-    [crash_node]/[recover_node] override what [Crash]/[Recover] do —
-    the full-stack harness passes its own crash (which also fail-stops
-    the protocol stack); the defaults act on the datagram layer only.
-    [on_event] observes every boundary (action firings and window
-    closings) with the virtual time and a human-readable description.
-
-    Overlapping windows of the same kind are restored in closing
-    order, each to the probability (or link) in force when it opened;
-    nesting them is allowed but the last closer wins. *)

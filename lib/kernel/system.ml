@@ -1,9 +1,15 @@
 module Sim = Dpu_engine.Sim
 module Datagram = Dpu_net.Datagram
 module Clock = Dpu_runtime.Clock
+module Runtime = Dpu_runtime.Runtime
+module Fault_transport = Dpu_faults.Fault_transport
 
 type backend =
-  | Simulated of { sim : Sim.t; net : Payload.t Datagram.t }
+  | Simulated of {
+      sim : Sim.t;
+      net : Payload.t Datagram.t;
+      shim : Payload.t Fault_transport.t option;
+    }
   | External
 
 type t = {
@@ -39,16 +45,32 @@ let make ?group_id ~backend ~runtime ~trace ~metrics ~hop_cost ~n ~local () =
   }
 
 let create ?(seed = 1) ?(loss = 0.0) ?(dup = 0.0) ?(link = Dpu_net.Latency.lan)
-    ?(hop_cost = 0.05) ?(trace_enabled = true) ?(metrics = Dpu_obs.Metrics.noop) ~n
-    () =
+    ?(faults = []) ?(hop_cost = 0.05) ?(trace_enabled = true)
+    ?(metrics = Dpu_obs.Metrics.noop) ~n () =
+  (match Dpu_faults.Schedule.validate ~n faults with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("System.create: bad fault schedule: " ^ msg));
   let sim = Sim.create ~seed () in
   let net = Datagram.create sim ~n ~loss ~dup ~link () in
   let trace = Trace.create ~enabled:trace_enabled () in
   Sim.register_metrics sim metrics;
   Datagram.register_metrics net metrics;
-  let runtime = Dpu_runtime.Sim_backend.runtime sim net in
+  let base = Dpu_runtime.Sim_backend.runtime sim net in
+  let runtime, shim =
+    match faults with
+    | [] -> (base, None)
+    | schedule ->
+      let clock = Runtime.clock base in
+      let shim =
+        Fault_transport.create ~seed:(seed + 0x5eed) ~schedule ~clock
+          (Runtime.transport base)
+      in
+      ( Runtime.create ~clock ~transport:(Fault_transport.transport shim)
+          ~rng:(Runtime.rng base),
+        Some shim )
+  in
   make
-    ~backend:(Simulated { sim; net })
+    ~backend:(Simulated { sim; net; shim })
     ~runtime ~trace ~metrics ~hop_cost ~n
     ~local:(List.init n Fun.id) ()
 
@@ -64,7 +86,7 @@ let of_sim ?group_id ?(hop_cost = 0.05) ?(trace_enabled = true)
     invalid_arg "System.of_sim: network size does not match n";
   let trace = Trace.create ~enabled:trace_enabled () in
   make ?group_id
-    ~backend:(Simulated { sim; net })
+    ~backend:(Simulated { sim; net; shim = None })
     ~runtime ~trace ~metrics ~hop_cost ~n
     ~local:(List.init n Fun.id) ()
 
@@ -86,6 +108,11 @@ let net t =
   | External -> invalid_arg "System.net: not a simulated deployment"
 
 let is_simulated t = match t.backend with Simulated _ -> true | External -> false
+
+let fault_stats t =
+  match t.backend with
+  | Simulated { shim = Some shim; _ } -> Fault_transport.stats shim
+  | Simulated { shim = None; _ } | External -> Fault_transport.no_stats
 
 let trace t = t.trace
 

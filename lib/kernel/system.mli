@@ -8,8 +8,10 @@
 
     - {!create} builds the classic {e simulated} deployment: a
       discrete-event simulator, a simulated datagram network, and all
-      [n] stacks living in this process. Bit-identical to the
-      pre-runtime behaviour.
+      [n] stacks living in this process. A fault schedule, if any,
+      reaches the network through the one interpreter there is,
+      {!Dpu_faults.Fault_transport}, wrapped around the simulated
+      transport.
     - {!of_runtime} wraps an externally supplied runtime (e.g. the
       live-clock/UDP backend), where typically only {e one} node of the
       [n]-node system is local to this process. Non-local slots have no
@@ -22,6 +24,7 @@ val create :
   ?loss:float ->
   ?dup:float ->
   ?link:Dpu_net.Latency.link ->
+  ?faults:Dpu_faults.Schedule.t ->
   ?hop_cost:float ->
   ?trace_enabled:bool ->
   ?metrics:Dpu_obs.Metrics.t ->
@@ -30,7 +33,15 @@ val create :
   t
 (** Simulated deployment. [metrics] (default {!Dpu_obs.Metrics.noop})
     is wired into the simulator, the network and every stack; protocol
-    modules reach it through [Stack.metrics]. *)
+    modules reach it through [Stack.metrics].
+
+    [faults] (default [[]]) is a schedule played against the network
+    by a {!Dpu_faults.Fault_transport} shim seeded with
+    [seed + 0x5eed], so the network's own draws are never perturbed.
+    Its [Crash] is a recoverable network silence; fail-stopping a
+    stack is {!crash_node}'s job. The empty schedule installs no shim.
+    Raises [Invalid_argument] if {!Dpu_faults.Schedule.validate}
+    rejects the schedule. *)
 
 val of_runtime :
   ?hop_cost:float ->
@@ -81,11 +92,16 @@ val rng : t -> Dpu_engine.Rng.t
 (** The runtime's root PRNG (the simulator's root under {!create}). *)
 
 val net : t -> Payload.t Dpu_net.Datagram.t
-(** The simulated datagram network — for fault injection and
-    link-level twiddling in experiments. Raises [Invalid_argument] on
-    an {!of_runtime} deployment. *)
+(** The simulated datagram network (counters, egress backlog,
+    fail-stop crashes). Raises [Invalid_argument] on an {!of_runtime}
+    deployment. *)
 
 val is_simulated : t -> bool
+
+val fault_stats : t -> Dpu_faults.Fault_transport.stats
+(** The fault shim's ledger; {!Dpu_faults.Fault_transport.no_stats}
+    when {!create} got no schedule (and on {!of_sim}/{!of_runtime}
+    deployments, which wrap their transport themselves). *)
 
 val trace : t -> Trace.t
 

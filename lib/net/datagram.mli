@@ -3,8 +3,10 @@
     Semantics of UDP over a switched LAN: messages may be lost,
     duplicated and reordered (reordering arises naturally from random
     per-packet latency); they are never corrupted. Crashed nodes
-    neither send nor receive. Partitions silently drop cross-group
-    traffic until healed.
+    neither send nor receive. Loss and duplication are fixed at
+    creation; scheduled faults (partitions, loss windows, slow links,
+    recoverable crashes) are layered on top by
+    [Dpu_faults.Fault_transport] behind the transport seam.
 
     The payload type is a parameter so the network can be tested in
     isolation and reused under any protocol kernel. *)
@@ -15,16 +17,14 @@ type counters = {
   sent : int;  (** datagrams accepted from senders *)
   delivered : int;  (** datagrams handed to a receiver *)
   lost : int;  (** dropped by the stochastic loss process *)
-  filtered : int;  (** dropped by the injected {!set_drop_filter} *)
   duplicated : int;  (** extra copies injected *)
   dup_bytes : int;
       (** payload bytes of those extra copies. [bytes] counts each
           datagram once at {!send}; a duplicated datagram occupies the
           wire twice, so total wire traffic attributable to the
           duplication process is [dup_bytes] on top of [bytes]. *)
-  blocked : int;  (** total of the three [blocked_*] causes below *)
+  blocked : int;  (** total of the two [blocked_*] causes below *)
   blocked_crash : int;  (** dropped at arrival: destination crashed *)
-  blocked_partition : int;  (** dropped at arrival: cross-partition *)
   blocked_no_handler : int;  (** dropped at arrival: no handler installed *)
   bytes : int;  (** payload bytes accepted *)
 }
@@ -58,46 +58,13 @@ val send : 'a t -> src:int -> dst:int -> size_bytes:int -> 'a -> unit
     are never lost. *)
 
 val crash : 'a t -> int -> unit
-(** Silence a node (fail-stop unless later {!recover}ed). In-flight
-    datagrams to it are discarded at arrival time. *)
-
-val recover : 'a t -> int -> unit
-(** Un-crash a node: it sends and receives again, and its egress clock
-    is reset to the current virtual time (a rebooted interface has no
-    queued transmissions). Datagrams addressed to it while it was down
-    stay lost. *)
+(** Silence a node for good (fail-stop). In-flight datagrams to it are
+    discarded at arrival time. *)
 
 val is_crashed : 'a t -> int -> bool
 
 val correct_nodes : 'a t -> int list
 (** Nodes not crashed, ascending. *)
-
-val partition : 'a t -> int list list -> unit
-(** Install a partition: nodes in different groups cannot communicate.
-    Nodes absent from every group form an implicit extra group. *)
-
-val heal : 'a t -> unit
-(** Remove any partition. *)
-
-val set_loss : 'a t -> float -> unit
-
-val loss : 'a t -> float
-
-val set_dup : 'a t -> float -> unit
-
-val dup : 'a t -> float
-
-val set_drop_filter : 'a t -> (src:int -> dst:int -> 'a -> bool) option -> unit
-(** Test hook: when the filter returns [true] the datagram is dropped
-    (counted as [filtered], not [lost]). Applied before the iid loss
-    process; the loss process draws no random bit for filtered
-    datagrams, so installing a filter does not perturb the RNG
-    stream of the survivors. *)
-
-val set_link_override : 'a t -> src:int -> dst:int -> Latency.link option -> unit
-(** Give one directed pair its own link (e.g. a slow WAN hop in an
-    otherwise LAN-like deployment); [None] restores the default. The
-    sender's interface still serialises all of its traffic. *)
 
 val counters : 'a t -> counters
 

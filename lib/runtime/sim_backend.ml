@@ -32,7 +32,7 @@ let transport net =
         {
           Transport.sent = c.D.sent;
           delivered = c.D.delivered;
-          dropped = c.D.lost + c.D.filtered + c.D.blocked;
+          dropped = c.D.lost + c.D.blocked;
           bytes = c.D.bytes;
         });
     batches = (fun () -> Transport.zero_batches);

@@ -17,7 +17,7 @@ type counters = {
   sent : int;  (** messages accepted from senders *)
   delivered : int;  (** messages handed to a receive handler *)
   dropped : int;
-      (** messages that did not reach a handler: loss, filters,
+      (** messages that did not reach a handler: loss, injected faults,
           crashed or partitioned destinations, handler-less arrivals,
           undecodable frames *)
   bytes : int;  (** wire bytes accepted from senders *)

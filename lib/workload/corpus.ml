@@ -1,4 +1,5 @@
 module P = Dpu_protocols
+module Schedule = Dpu_faults.Schedule
 
 let ct = P.Abcast_ct.protocol_name
 

@@ -3,9 +3,9 @@
     Each scenario pairs a protocol-replacement plan with a fault
     schedule the paper never imagined, and is meant to run {e twice}:
     once in the simulator and once over real UDP sockets — from the
-    same values, through the same {!Fault_transport} shim — with the
-    full atomic-broadcast property battery checked on the merged logs
-    both times. The simulated driver is [Dpu_workload.Scenario]; the
+    same values, through the same {!Dpu_faults.Fault_transport} shim —
+    with the full atomic-broadcast property battery checked on the
+    merged logs both times. The simulated driver is {!Scenario}; the
     live driver is [Dpu_live.Serve] via [dpu_run serve --scenario] /
     [dpu_run corpus]. *)
 
@@ -22,7 +22,7 @@ type t = {
   drain_ms : float;  (** settle time after the load stops (live runs) *)
   initial : string;  (** initial ABcast variant *)
   switches : switch list;
-  schedule : Schedule.t;
+  schedule : Dpu_faults.Schedule.t;
 }
 
 val all : t list

@@ -83,6 +83,7 @@ type result = {
   collector : Dpu_core.Collector.t;
   trace : Dpu_kernel.Trace.t;
   metrics : Dpu_obs.Metrics.t;
+  fault_stats : Dpu_faults.Fault_transport.stats;
   correct : int list;
 }
 
@@ -135,7 +136,7 @@ let preflight params =
     ~registry:(Dpu_kernel.System.registry system)
     ~updates ~consensus_updates profile
 
-let run ?(crash_at = []) params =
+let run params =
   (let reports = preflight params in
    if not (Dpu_props.Report.all_ok reports) then raise (Preflight_failure reports));
   let profile = profile_of params in
@@ -151,7 +152,7 @@ let run ?(crash_at = []) params =
       msg_size = params.msg_size;
     }
   in
-  let mw = MW.create ~config ~register_extra ~n:params.n () in
+  let mw = MW.create ~config ~register_extra ~faults:params.faults ~n:params.n () in
   let system = MW.system mw in
   let clock = Dpu_kernel.System.clock system in
   (* The structured log is stamped on the VIRTUAL clock: with the same
@@ -170,20 +171,26 @@ let run ?(crash_at = []) params =
         ("approach", Dpu_obs.Json.Str (approach_name params.approach));
         ("initial", Dpu_obs.Json.Str params.initial) ]
     "experiment start";
-  (match Dpu_faults.Schedule.validate ~n:params.n params.faults with
-  | Ok () -> ()
-  | Error msg -> invalid_arg (Printf.sprintf "Experiment.run: bad fault schedule: %s" msg));
-  (* In the full-stack harness a scheduled [Crash] is fail-stop (stack
-     and network endpoint both die); a [Recover] of a fail-stopped node
-     is ignored — the process model has no rejoin — so it only applies
-     to network-level silences. *)
-  Dpu_faults.Schedule.arm
-    ~crash_node:(fun node -> MW.crash mw node)
-    ~recover_node:(fun node ->
-      if not (Dpu_kernel.Stack.is_crashed (Dpu_kernel.System.stack system node)) then
-        Dpu_net.Datagram.recover (Dpu_kernel.System.net system) node)
-    (Dpu_kernel.System.net system)
-    params.faults;
+  (* The fault shim silences a crashed node's network endpoint; in the
+     full-stack harness a scheduled [Crash] is also fail-stop for its
+     stack. The process model has no rejoin, so a later [Recover] only
+     lifts the network silence of a stack that stays dead. *)
+  let crashes =
+    List.filter_map
+      (fun (e : Dpu_faults.Schedule.event) ->
+        match e.action with
+        | Dpu_faults.Schedule.Crash node -> Some (e.at, node)
+        | _ -> None)
+      params.faults
+  in
+  List.iter
+    (fun (time, node) ->
+      Clock.defer clock ~delay:time (fun () ->
+          Dpu_obs.Log.warn log
+            ~fields:[ ("node", Dpu_obs.Json.Int node) ]
+            "crash";
+          MW.crash mw node))
+    crashes;
   Load_gen.start mw ~rate_per_s:params.load ~pattern:params.pattern
     ~size:params.msg_size ~until:params.duration_ms ();
   let switch_requested =
@@ -195,8 +202,7 @@ let run ?(crash_at = []) params =
         let crashed_by_then =
           List.filter_map
             (fun (t, node) -> if t <= params.switch_at_ms then Some node else None)
-            crash_at
-          @ Dpu_faults.Schedule.crashed_before params.faults ~time:params.switch_at_ms
+            crashes
         in
         let rec pick node =
           if node < 0 then 0
@@ -223,14 +229,6 @@ let run ?(crash_at = []) params =
           "consensus switch trigger";
         MW.change_consensus mw ~node:0 protocol)
   | None -> ());
-  List.iter
-    (fun (time, node) ->
-      Clock.defer clock ~delay:time (fun () ->
-          Dpu_obs.Log.warn log
-            ~fields:[ ("node", Dpu_obs.Json.Int node) ]
-            "crash";
-          MW.crash mw node))
-    crash_at;
   MW.run_until_quiescent ~limit:(params.duration_ms +. 120_000.0) mw;
   let collector = MW.collector mw in
   let latency = Collector.latency_series collector in
@@ -297,6 +295,7 @@ let run ?(crash_at = []) params =
     collector;
     trace = Dpu_kernel.System.trace (MW.system mw);
     metrics = MW.metrics mw;
+    fault_stats = Dpu_kernel.System.fault_stats (MW.system mw);
     correct;
   }
 

@@ -52,9 +52,11 @@ type params = {
       (** (time, target implementation): hot-swap consensus mid-run
           (needs [consensus_layer]) *)
   faults : Dpu_faults.Schedule.t;
-      (** declarative fault schedule armed at virtual time 0. [Crash]
-          is fail-stop here (stack + network endpoint); [Recover] of a
-          fail-stopped node is ignored. Default: no faults. *)
+      (** declarative fault schedule, played against the network by
+          the fault shim ({!Dpu_kernel.System.create}). [Crash] is
+          fail-stop here (stack + network endpoint); [Recover] only
+          lifts the network silence, the stack stays dead. Default: no
+          faults. *)
   log_out : string option;
       (** write structured JSONL milestone logs (start, switch
           triggers, crashes, completion) to this path, stamped on the
@@ -87,6 +89,8 @@ type result = {
   metrics : Dpu_obs.Metrics.t;
       (** the run's metrics registry ({!Dpu_obs.Metrics.noop} unless
           [metrics_enabled]) *)
+  fault_stats : Dpu_faults.Fault_transport.stats;
+      (** the fault shim's ledger (all zero without a schedule) *)
   correct : int list;
 }
 
@@ -102,10 +106,8 @@ val preflight : params -> Dpu_props.Report.t list
     acyclicity, unique bindings and update-plan safety for the planned
     [switch_to] / [switch_consensus] swaps. No simulation happens. *)
 
-val run : ?crash_at:(float * int) list -> params -> result
-(** [crash_at] is a list of (virtual time, node) fail-stop injections
-    (the pre-DSL interface; equivalent to [Crash] events in [faults]).
-    Raises [Invalid_argument] if [params.faults] fails
+val run : params -> result
+(** Raises [Invalid_argument] if [params.faults] fails
     {!Dpu_faults.Schedule.validate}, and {!Preflight_failure} if the
     static composition verifier rejects the configuration. *)
 

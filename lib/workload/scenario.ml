@@ -1,16 +1,8 @@
-module Sim = Dpu_engine.Sim
-module Rng = Dpu_engine.Rng
-module Datagram = Dpu_net.Datagram
-module Latency = Dpu_net.Latency
-module Clock = Dpu_runtime.Clock
-module Runtime = Dpu_runtime.Runtime
 module Transport = Dpu_runtime.Transport
 module System = Dpu_kernel.System
 module Msg = Dpu_kernel.Msg
 module MW = Dpu_core.Middleware
 module Collector = Dpu_core.Collector
-module Schedule = Dpu_faults.Schedule
-module Corpus = Dpu_faults.Corpus
 module Fault_transport = Dpu_faults.Fault_transport
 
 type result = {
@@ -33,23 +25,6 @@ let run_sim ?(seed = 1) (sc : Corpus.t) =
   (match Corpus.validate sc with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "Scenario.run_sim %s: %s" sc.name msg));
-  let sim = Sim.create ~seed () in
-  let net = Datagram.create sim ~n:sc.Corpus.n ~loss:0.0 ~link:Latency.lan () in
-  let base = Dpu_runtime.Sim_backend.runtime sim net in
-  (* The nemesis sits behind the Transport seam — the very same shim the
-     live backend uses — so the schedule hits the protocols through the
-     interface they actually talk to, not through simulator internals. *)
-  let shim =
-    Fault_transport.create ~seed:(seed + 0x5eed) ~schedule:sc.Corpus.schedule
-      ~clock:(Runtime.clock base) (Runtime.transport base)
-  in
-  let runtime =
-    Runtime.create ~clock:(Runtime.clock base)
-      ~transport:(Fault_transport.transport shim) ~rng:(Runtime.rng base)
-  in
-  let system = System.of_runtime ~hop_cost:0.05 ~trace_enabled:false ~runtime
-      ~n:sc.Corpus.n ()
-  in
   let config =
     {
       MW.default_config with
@@ -60,15 +35,18 @@ let run_sim ?(seed = 1) (sc : Corpus.t) =
       trace_enabled = false;
     }
   in
-  let mw = MW.of_system ~config system in
+  let mw = MW.create ~config ~faults:sc.Corpus.schedule ~n:sc.Corpus.n () in
+  let system = MW.system mw in
   Load_gen.start mw ~rate_per_s:sc.Corpus.load ~until:sc.Corpus.duration_ms ();
   let clock = System.clock system in
   List.iter
     (fun (s : Corpus.switch) ->
-      Clock.defer clock ~delay:s.Corpus.sw_at (fun () ->
+      Dpu_runtime.Clock.defer clock ~delay:s.Corpus.sw_at (fun () ->
           MW.change_protocol mw ~node:s.Corpus.sw_node s.Corpus.sw_to))
     sc.Corpus.switches;
-  Sim.run ~until:(sc.Corpus.duration_ms +. sc.Corpus.drain_ms +. sim_grace_ms) sim;
+  MW.run_until_quiescent
+    ~limit:(sc.Corpus.duration_ms +. sc.Corpus.drain_ms +. sim_grace_ms)
+    mw;
   let collector = MW.collector mw in
   let correct = Corpus.correct_nodes sc in
   let reports = Dpu_props.Abcast_props.check_all collector ~correct in
@@ -86,8 +64,8 @@ let run_sim ?(seed = 1) (sc : Corpus.t) =
     reports;
     switch_windows;
     sent = Collector.send_count collector;
-    faults = Fault_transport.stats shim;
-    counters = Fault_transport.counters shim;
+    faults = System.fault_stats system;
+    counters = Transport.counters (System.transport system);
   }
 
 (* Canonical dump of everything the run observed; two runs are

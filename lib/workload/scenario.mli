@@ -1,16 +1,14 @@
-(** Simulated driver for the adversarial scenario corpus
-    ({!Dpu_faults.Corpus}).
+(** Simulated driver for the adversarial scenario corpus ({!Corpus}).
 
-    Unlike {!Experiment} — which injects faults straight into the
-    simulated datagram network — this driver assembles the system over
-    {!Dpu_kernel.System.of_runtime} with the {e same}
+    Builds the cluster with {!Dpu_core.Middleware.create}[ ~faults], so
+    the schedule reaches the protocols through the same
     {!Dpu_faults.Fault_transport} shim the live backend uses, wrapped
     around the simulator transport. One schedule value, one shim, two
     backends. Runs are a pure function of the seed: {!signature} gives
     a canonical byte dump for replay-determinism checks. *)
 
 type result = {
-  scenario : Dpu_faults.Corpus.t;
+  scenario : Corpus.t;
   collector : Dpu_core.Collector.t;
   correct : int list;
   reports : Dpu_props.Report.t list;  (** full Abcast battery *)
@@ -23,8 +21,8 @@ type result = {
   counters : Dpu_runtime.Transport.counters;  (** the shim's view *)
 }
 
-val run_sim : ?seed:int -> Dpu_faults.Corpus.t -> result
-(** Raises [Invalid_argument] if {!Dpu_faults.Corpus.validate}
+val run_sim : ?seed:int -> Corpus.t -> result
+(** Raises [Invalid_argument] if {!Corpus.validate}
     rejects the scenario. *)
 
 val signature : result -> string

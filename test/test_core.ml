@@ -9,6 +9,7 @@ module MW = Dpu_core.Middleware
 module SB = Dpu_core.Stack_builder
 module Sim = Dpu_engine.Sim
 module Clock = Dpu_runtime.Clock
+module Schedule = Dpu_faults.Schedule
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -16,10 +17,10 @@ let fail = Alcotest.fail
 let default_mw ?(config = MW.default_config) ?(n = 3) () = MW.create ~config ~n ()
 
 let mw_with ?(n = 3) ?(seed = 1) ?(loss = 0.0) ?(initial = Core.Variants.ct)
-    ?(layer = Some Core.Repl.protocol_name) ?(with_gm = false) () =
+    ?(layer = Some Core.Repl.protocol_name) ?(with_gm = false) ?faults () =
   let profile = { SB.default_profile with initial_abcast = initial; layer; with_gm } in
   let config = { MW.default_config with seed; loss; profile } in
-  MW.create ~config ~n ()
+  MW.create ~config ?faults ~n ()
 
 (* Per-node delivery logs of application messages, as id strings. *)
 let delivery_logs mw =
@@ -460,23 +461,27 @@ let test_repl_undelivered_reissued () =
   (* Cut the network right after a broadcast so it is in flight at
      switch time, then heal: the message must still be delivered
      (through the new protocol, by the line 15-16 reissue). *)
-  let mw = mw_with ~seed:17 () in
+  (* Block node 0's traffic from 1 s to 4 s, broadcast from it, and
+     switch from node 1. Node 0's message cannot be ordered by the old
+     protocol at the switch point; when the partition heals, node 0
+     reissues it through the new one. *)
+  let mw =
+    mw_with ~seed:17
+      ~faults:
+        [
+          Schedule.partition ~at:1_000.0 [ [ 0 ]; [ 1; 2 ] ];
+          Schedule.heal ~at:4_000.0;
+        ]
+      ()
+  in
   let logs = delivery_logs mw in
-  let net = System.net (MW.system mw) in
   let clock = System.clock (MW.system mw) in
   ignore (MW.broadcast mw ~node:0 "pre");
   MW.run_for mw 1_000.0;
-  (* Block node 0's traffic, broadcast from it, and switch from node 1.
-     Node 0's message cannot be ordered by the old protocol at the
-     switch point; when the partition heals, node 0 reissues it through
-     the new one. *)
-  Dpu_net.Datagram.partition net [ [ 0 ]; [ 1; 2 ] ];
   ignore (MW.broadcast mw ~node:0 "inflight");
   ignore
     (Clock.defer clock ~delay:200.0 (fun () ->
          MW.change_protocol mw ~node:1 Core.Variants.ct));
-  MW.run_for mw 3_000.0;
-  Dpu_net.Datagram.heal net;
   MW.run_until_quiescent ~limit:90_000.0 mw;
   assert_consistent ~expect_count:2 logs
 

@@ -4,6 +4,10 @@ module Sim = Dpu_engine.Sim
 module Rng = Dpu_engine.Rng
 module Latency = Dpu_net.Latency
 module Datagram = Dpu_net.Datagram
+module Schedule = Dpu_faults.Schedule
+module FT = Dpu_faults.Fault_transport
+module RT = Dpu_runtime.Transport
+module Runtime = Dpu_runtime.Runtime
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -175,94 +179,91 @@ let test_correct_nodes () =
   Datagram.crash net 2;
   check (Alcotest.list Alcotest.int) "correct" [ 0; 1; 3 ] (Datagram.correct_nodes net)
 
+(* Scheduled faults — partitions, recoverable crashes, loss and dup
+   windows, slow links — are not the network's business: they reach it
+   through the fault shim that [System.create ~faults] wraps around
+   the simulator transport. These cases drive that shim directly over
+   a bare network. *)
+let make_faulty_net ?(n = 3) schedule =
+  let sim, net = make_net ~n () in
+  let rt = Dpu_runtime.Sim_backend.runtime sim net in
+  let shim =
+    FT.create ~schedule ~clock:(Runtime.clock rt) (Runtime.transport rt)
+  in
+  (sim, net, shim, FT.transport shim)
+
+let faulty_inbox tr node =
+  let log = ref [] in
+  RT.set_handler tr ~node (fun ~src payload -> log := (src, payload) :: !log);
+  log
+
+let send_at sim tr time ~src ~dst payload =
+  ignore
+    (Sim.schedule_at sim ~time (fun () -> RT.send tr ~src ~dst ~size_bytes:10 payload)
+      : Sim.handle)
+
 let test_partition () =
-  let sim, net = make_net ~n:4 () in
-  let inbox1 = inbox net 1 in
-  let inbox3 = inbox net 3 in
-  Datagram.partition net [ [ 0; 1 ]; [ 2; 3 ] ];
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "same-side";
-  Datagram.send net ~src:0 ~dst:3 ~size_bytes:10 "cross";
+  let sim, _net, _shim, tr =
+    make_faulty_net ~n:4 [ Schedule.partition ~at:0.0 [ [ 0; 1 ]; [ 2; 3 ] ] ]
+  in
+  let inbox1 = faulty_inbox tr 1 in
+  let inbox3 = faulty_inbox tr 3 in
+  RT.send tr ~src:0 ~dst:1 ~size_bytes:10 "same-side";
+  RT.send tr ~src:0 ~dst:3 ~size_bytes:10 "cross";
   Sim.run sim;
   check Alcotest.int "same side delivered" 1 (List.length !inbox1);
   check Alcotest.int "cross dropped" 0 (List.length !inbox3)
 
 let test_heal () =
-  let sim, net = make_net ~n:2 () in
-  let inbox1 = inbox net 1 in
-  Datagram.partition net [ [ 0 ]; [ 1 ] ];
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "blocked";
+  let sim, _net, _shim, tr =
+    make_faulty_net ~n:2
+      [ Schedule.partition ~at:0.0 [ [ 0 ]; [ 1 ] ]; Schedule.heal ~at:10.0 ]
+  in
+  let inbox1 = faulty_inbox tr 1 in
+  send_at sim tr 0.0 ~src:0 ~dst:1 "blocked";
+  send_at sim tr 10.0 ~src:0 ~dst:1 "after";
   Sim.run sim;
-  Datagram.heal net;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "after";
-  Sim.run sim;
-  check Alcotest.int "only post-heal" 1 (List.length !inbox1)
+  check Alcotest.bool "only post-heal" true (!inbox1 = [ (0, "after") ])
 
 let test_partition_implicit_group () =
-  let sim, net = make_net ~n:3 () in
-  let inbox2 = inbox net 2 in
-  (* Node 2 not mentioned: forms its own group. *)
-  Datagram.partition net [ [ 0; 1 ] ];
-  Datagram.send net ~src:0 ~dst:2 ~size_bytes:10 "x";
+  let sim, _net, _shim, tr =
+    (* Node 2 not mentioned: forms its own group. *)
+    make_faulty_net ~n:3 [ Schedule.partition ~at:0.0 [ [ 0; 1 ] ] ]
+  in
+  let inbox2 = faulty_inbox tr 2 in
+  RT.send tr ~src:0 ~dst:2 ~size_bytes:10 "x";
   Sim.run sim;
   check Alcotest.int "isolated" 0 (List.length !inbox2)
 
-let test_drop_filter () =
-  let sim, net = make_net () in
-  let inbox1 = inbox net 1 in
-  Datagram.set_drop_filter net (Some (fun ~src:_ ~dst:_ p -> p = "drop-me"));
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "drop-me";
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "keep-me";
-  Sim.run sim;
-  check Alcotest.int "one delivered" 1 (List.length !inbox1);
-  Datagram.set_drop_filter net None;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "drop-me";
-  Sim.run sim;
-  check Alcotest.int "filter removed" 2 (List.length !inbox1)
-
 let test_filtered_counted_separately () =
-  (* Regression: filter drops must not be conflated with stochastic
-     loss — fault-injection drops stay distinguishable in reports. *)
-  let sim, net = make_net ~loss:0.0 () in
-  ignore (inbox net 1);
-  Datagram.set_drop_filter net (Some (fun ~src:_ ~dst:_ p -> p = "drop-me"));
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "drop-me";
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "keep-me";
+  (* Regression: frames a fault filters out must not be conflated with
+     stochastic loss — fault-injection drops stay distinguishable in
+     reports. The shim absorbs them before the network sees them. *)
+  let sim, net, shim, tr =
+    make_faulty_net [ Schedule.partition ~at:0.0 [ [ 0 ]; [ 1; 2 ] ] ]
+  in
+  ignore (faulty_inbox tr 1);
+  RT.send tr ~src:0 ~dst:1 ~size_bytes:10 "drop-me";
+  RT.send tr ~src:2 ~dst:1 ~size_bytes:10 "keep-me";
   Sim.run sim;
   let c = Datagram.counters net in
-  check Alcotest.int "filtered" 1 c.Datagram.filtered;
+  check Alcotest.int "filtered" 1 (FT.stats shim).FT.blocked_partition;
   check Alcotest.int "not lost" 0 c.Datagram.lost;
+  check Alcotest.int "never reached the network" 1 c.Datagram.sent;
   check Alcotest.int "delivered" 1 c.Datagram.delivered
 
 let test_recover () =
-  let sim, net = make_net () in
-  let inbox1 = inbox net 1 in
-  Datagram.crash net 1;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "while-down";
-  Sim.run sim;
+  let sim, _net, _shim, tr =
+    make_faulty_net [ Schedule.crash ~at:0.0 1; Schedule.recover ~at:10.0 1 ]
+  in
+  let inbox1 = faulty_inbox tr 1 in
+  send_at sim tr 0.0 ~src:0 ~dst:1 "while-down";
+  Sim.run ~until:5.0 sim;
   check Alcotest.int "nothing while down" 0 (List.length !inbox1);
-  Datagram.recover net 1;
-  check Alcotest.bool "not crashed" false (Datagram.is_crashed net 1);
-  check (Alcotest.list Alcotest.int) "correct again" [ 0; 1; 2 ]
-    (Datagram.correct_nodes net);
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "after-recover";
+  send_at sim tr 10.0 ~src:0 ~dst:1 "after-recover";
   Sim.run sim;
   check Alcotest.int "delivery resumes" 1 (List.length !inbox1);
   check Alcotest.bool "lost send stays lost" true (!inbox1 = [ (0, "after-recover") ])
-
-let test_recover_resets_egress_clock () =
-  let sim = Sim.create ~seed:7 () in
-  let link = { Latency.model = Latency.Constant 0.1; bandwidth_mbps = 100.0 } in
-  let net = Datagram.create sim ~n:2 ~link () in
-  Datagram.set_handler net ~node:1 (fun ~src:_ _ -> ());
-  for _ = 1 to 10 do
-    Datagram.send net ~src:0 ~dst:1 ~size_bytes:12_500 "1ms-each"
-  done;
-  check (Alcotest.float 1e-6) "backlog built" 10.0 (Datagram.egress_backlog_ms net ~node:0);
-  Datagram.crash net 0;
-  Sim.run ~until:1.0 sim;
-  Datagram.recover net 0;
-  check (Alcotest.float 0.0) "rebooted interface is idle" 0.0
-    (Datagram.egress_backlog_ms net ~node:0)
 
 let test_blocked_cause_counters () =
   let sim, net = make_net ~n:4 () in
@@ -272,37 +273,30 @@ let test_blocked_cause_counters () =
   Datagram.send net ~src:0 ~dst:2 ~size_bytes:10 "to-crashed";
   Datagram.send net ~src:0 ~dst:3 ~size_bytes:10 "to-handlerless";
   Sim.run sim;
-  Datagram.partition net [ [ 0 ]; [ 1 ] ];
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "cross-partition";
-  Sim.run sim;
   let c = Datagram.counters net in
   check Alcotest.int "crash cause" 1 c.Datagram.blocked_crash;
-  check Alcotest.int "partition cause" 1 c.Datagram.blocked_partition;
   check Alcotest.int "no-handler cause" 1 c.Datagram.blocked_no_handler;
-  check Alcotest.int "total" 3 c.Datagram.blocked
+  check Alcotest.int "total" 2 c.Datagram.blocked
 
 let test_set_dup_dynamic () =
-  let sim, net = make_net () in
-  let inbox1 = inbox net 1 in
-  Datagram.set_dup net 1.0;
-  check (Alcotest.float 0.0) "getter" 1.0 (Datagram.dup net);
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "x";
-  Sim.run sim;
-  Datagram.set_dup net 0.0;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "y";
+  let sim, _net, _shim, tr =
+    make_faulty_net [ Schedule.dup_burst ~p:1.0 ~from_:0.0 ~until:10.0 ]
+  in
+  let inbox1 = faulty_inbox tr 1 in
+  send_at sim tr 0.0 ~src:0 ~dst:1 "x";
+  send_at sim tr 10.0 ~src:0 ~dst:1 "y";
   Sim.run sim;
   check Alcotest.int "two then one" 3 (List.length !inbox1)
 
 let test_set_loss_dynamic () =
-  let sim, net = make_net () in
-  let inbox1 = inbox net 1 in
-  Datagram.set_loss net 1.0;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "x";
+  let sim, _net, _shim, tr =
+    make_faulty_net [ Schedule.loss_window ~p:1.0 ~from_:0.0 ~until:10.0 ]
+  in
+  let inbox1 = faulty_inbox tr 1 in
+  send_at sim tr 0.0 ~src:0 ~dst:1 "x";
+  send_at sim tr 10.0 ~src:0 ~dst:1 "y";
   Sim.run sim;
-  Datagram.set_loss net 0.0;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "y";
-  Sim.run sim;
-  check Alcotest.int "only second" 1 (List.length !inbox1)
+  check Alcotest.bool "only second" true (!inbox1 = [ (0, "y") ])
 
 let test_counters_bytes () =
   let sim, net = make_net () in
@@ -350,44 +344,43 @@ let test_egress_backlog_reported () =
   Sim.run sim;
   check (Alcotest.float 0.0) "fully drained" 0.0 (Datagram.egress_backlog_ms net ~node:0)
 
-let test_link_override () =
+let degrade_arrivals ~n ~src ~dst sends =
   let sim = Sim.create ~seed:7 () in
-  let net = Datagram.create sim ~n:3 ~link:(Latency.constant 0.5) () in
-  Datagram.set_link_override net ~src:0 ~dst:2 (Some (Latency.constant 40.0));
+  let net = Datagram.create sim ~n ~link:(Latency.constant 0.5) () in
+  let rt = Dpu_runtime.Sim_backend.runtime sim net in
+  let shim =
+    FT.create
+      ~schedule:
+        [ Schedule.degrade_link ~src ~dst ~link:(Latency.constant 40.0) ~from_:0.0 ~until:10.0 ]
+      ~clock:(Runtime.clock rt) (Runtime.transport rt)
+  in
+  let tr = FT.transport shim in
   let arrivals = ref [] in
-  for node = 1 to 2 do
-    Datagram.set_handler net ~node (fun ~src:_ tag ->
-        arrivals := (tag, Sim.now sim) :: !arrivals)
+  for node = 0 to n - 1 do
+    RT.set_handler tr ~node (fun ~src:_ tag -> arrivals := (tag, Sim.now sim) :: !arrivals)
   done;
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "lan";
-  Datagram.send net ~src:0 ~dst:2 ~size_bytes:10 "wan";
+  List.iter (fun (time, src, dst, tag) -> send_at sim tr time ~src ~dst tag) sends;
   Sim.run sim;
-  let time_of tag = List.assoc tag !arrivals in
+  fun tag -> List.assoc tag !arrivals
+
+let test_link_override () =
+  (* A slow@ window on one pair adds its delay on top of the link and
+     lifts when the window closes. *)
+  let time_of =
+    degrade_arrivals ~n:3 ~src:0 ~dst:2
+      [ (0.0, 0, 1, "lan"); (0.0, 0, 2, "wan"); (20.0, 0, 2, "wan2") ]
+  in
   check (Alcotest.float 1e-6) "lan fast" 0.5 (time_of "lan");
-  check (Alcotest.float 1e-6) "wan slow" 40.0 (time_of "wan");
-  (* Remove the override: back to the default link. *)
-  Datagram.set_link_override net ~src:0 ~dst:2 None;
-  Datagram.send net ~src:0 ~dst:2 ~size_bytes:10 "wan2";
-  Sim.run sim;
-  check Alcotest.bool "restored" true (time_of "wan2" -. time_of "wan" < 10.0)
+  check (Alcotest.float 1e-6) "wan slow" 40.5 (time_of "wan");
+  check (Alcotest.float 1e-6) "restored" 20.5 (time_of "wan2")
 
 let test_link_override_directional () =
-  (* The override table is keyed src * n + dst: the (1, 2) and (2, 1)
-     directions — and every other pair — must never alias. *)
-  let sim = Sim.create ~seed:7 () in
-  let net = Datagram.create sim ~n:3 ~link:(Latency.constant 0.5) () in
-  Datagram.set_link_override net ~src:1 ~dst:2 (Some (Latency.constant 40.0));
-  let arrivals = ref [] in
-  for node = 0 to 2 do
-    Datagram.set_handler net ~node (fun ~src:_ tag ->
-        arrivals := (tag, Sim.now sim) :: !arrivals)
-  done;
-  Datagram.send net ~src:1 ~dst:2 ~size_bytes:10 "slowed";
-  Datagram.send net ~src:2 ~dst:1 ~size_bytes:10 "reverse";
-  Datagram.send net ~src:0 ~dst:1 ~size_bytes:10 "other";
-  Sim.run sim;
-  let time_of tag = List.assoc tag !arrivals in
-  check (Alcotest.float 1e-6) "overridden direction slow" 40.0 (time_of "slowed");
+  (* A degraded (1, 2) pair must never slow (2, 1) or any other pair. *)
+  let time_of =
+    degrade_arrivals ~n:3 ~src:1 ~dst:2
+      [ (0.0, 1, 2, "slowed"); (0.0, 2, 1, "reverse"); (0.0, 0, 1, "other") ]
+  in
+  check (Alcotest.float 1e-6) "overridden direction slow" 40.5 (time_of "slowed");
   check (Alcotest.float 1e-6) "reverse direction untouched" 0.5 (time_of "reverse");
   check (Alcotest.float 1e-6) "other pair untouched" 0.5 (time_of "other")
 
@@ -455,10 +448,8 @@ let () =
           tc "partition" test_partition;
           tc "heal" test_heal;
           tc "implicit group" test_partition_implicit_group;
-          tc "drop filter" test_drop_filter;
           tc "filtered counted separately" test_filtered_counted_separately;
           tc "recover" test_recover;
-          tc "recover resets egress" test_recover_resets_egress_clock;
           tc "blocked causes" test_blocked_cause_counters;
           tc "dynamic loss" test_set_loss_dynamic;
           tc "dynamic dup" test_set_dup_dynamic;

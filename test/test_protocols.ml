@@ -7,6 +7,7 @@ module P = Dpu_protocols
 module Sim = Dpu_engine.Sim
 module Clock = Dpu_runtime.Clock
 module Latency = Dpu_net.Latency
+module Schedule = Dpu_faults.Schedule
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -14,9 +15,9 @@ let fail = Alcotest.fail
 type Payload.t += Blob of string
 
 (* A system with the basic substrate registered; nothing instantiated. *)
-let make_system ?(n = 3) ?(seed = 1) ?(loss = 0.0) ?(dup = 0.0) ?link () =
+let make_system ?(n = 3) ?(seed = 1) ?(loss = 0.0) ?(dup = 0.0) ?link ?faults () =
   let link = match link with Some l -> l | None -> Latency.lan in
-  let system = System.create ~seed ~loss ~dup ~link ~n () in
+  let system = System.create ~seed ~loss ~dup ~link ?faults ~n () in
   P.Udp.register system;
   P.Rp2p.register system;
   P.Fd.register system;
@@ -179,18 +180,19 @@ let test_rp2p_storm_backoff_resets_on_sample () =
      exchange brings it back (storm_backoff resets on a fresh sample).
      Observable effect: later messages on a fast link are not delayed
      by the earlier episode. *)
-  let system = System.create ~seed:8 ~n:2 () in
+  (* Episode: partition so the first message retransmits a few times. *)
+  let system =
+    System.create ~seed:8 ~n:2
+      ~faults:[ Schedule.partition ~at:0.0 [ [ 0 ]; [ 1 ] ]; Schedule.heal ~at:300.0 ]
+      ()
+  in
   P.Udp.register system;
   P.Rp2p.register system;
   ensure_all system Service.rp2p;
   let got = rp2p_recv_log system 1 in
-  (* Episode: partition so the first message retransmits a few times. *)
-  Dpu_net.Datagram.partition (System.net system) [ [ 0 ]; [ 1 ] ];
   Stack.call (System.stack system 0) Service.rp2p
     (P.Rp2p.Send { dst = 1; size = 64; payload = Blob "stormy" });
-  System.run_for system 300.0;
-  Dpu_net.Datagram.heal (System.net system);
-  System.run_for system 2_000.0;
+  System.run_for system 2_300.0;
   check Alcotest.int "first delivered after heal" 1 (List.length !got);
   (* Clean phase: send and measure delivery promptness. *)
   let t0 = Clock.now (System.clock system) in
@@ -232,14 +234,15 @@ let test_fd_detects_crash () =
     (P.Fd.suspects (System.stack system 0))
 
 let test_fd_restore_after_partition_heals () =
-  let system = make_system () in
+  let system =
+    make_system
+      ~faults:[ Schedule.partition ~at:0.0 [ [ 0 ]; [ 1; 2 ] ]; Schedule.heal ~at:1_000.0 ]
+      ()
+  in
   ensure_all system Service.fd;
   let log = fd_events system 0 in
-  let net = System.net system in
-  Dpu_net.Datagram.partition net [ [ 0 ]; [ 1; 2 ] ];
   System.run_for system 1_000.0;
   check Alcotest.bool "suspects during partition" true (List.mem (`Suspect 1) !log);
-  Dpu_net.Datagram.heal net;
   System.run_for system 1_000.0;
   check Alcotest.bool "restored" true (List.mem (`Restore 1) !log);
   check (Alcotest.list Alcotest.int) "no suspects" [] (P.Fd.suspects (System.stack system 0))
@@ -248,25 +251,29 @@ let test_fd_adaptive_timeout () =
   (* After a false suspicion the per-node timeout grows, so a second
      partition of the same length does not trigger a second suspicion. *)
   let config = { P.Fd.period_ms = 20.0; timeout_ms = 100.0; timeout_increment_ms = 400.0 } in
-  let system = System.create ~n:2 () in
+  let cut = [ [ 0 ]; [ 1 ] ] in
+  let system =
+    System.create ~n:2
+      ~faults:
+        [
+          Schedule.partition ~at:0.0 cut;
+          Schedule.heal ~at:300.0;
+          Schedule.partition ~at:800.0 cut;
+          Schedule.heal ~at:1_100.0;
+        ]
+      ()
+  in
   P.Udp.register system;
   System.iter_stacks system (fun stack ->
       Registry.ensure_bound (System.registry system) stack Service.net;
       ignore (P.Fd.install ~config ~n:2 stack));
   let log = fd_events system 0 in
-  let net = System.net system in
-  Dpu_net.Datagram.partition net [ [ 0 ]; [ 1 ] ];
-  System.run_for system 300.0;
-  Dpu_net.Datagram.heal net;
-  System.run_for system 500.0;
+  System.run_for system 800.0;
   let suspicions = List.length (List.filter (fun e -> e = `Suspect 1) !log) in
   check Alcotest.int "first suspicion" 1 suspicions;
   (* Second, equally long partition: timeout is now 500 ms, so 300 ms of
      silence must pass unnoticed. *)
-  Dpu_net.Datagram.partition net [ [ 0 ]; [ 1 ] ];
-  System.run_for system 300.0;
-  Dpu_net.Datagram.heal net;
-  System.run_for system 500.0;
+  System.run_for system 800.0;
   let suspicions' = List.length (List.filter (fun e -> e = `Suspect 1) !log) in
   check Alcotest.int "no second suspicion" 1 suspicions'
 
@@ -323,10 +330,19 @@ let test_rbcast_no_relay_still_delivers () =
 let relay_agreement_scenario ~relay =
   (* Why forward-on-first-receipt matters (uniform agreement when the
      sender dies mid-broadcast): node 0's datagrams to node 2 are
-     dropped, then node 0 crashes. Its broadcast reached only node 1
-     first-hand. With relaying node 1 forwards it to node 2; without,
-     node 2 never sees it. *)
-  let system = System.create ~seed:5 ~n:3 () in
+     held back far beyond the run (a slow@ window that never closes),
+     then node 0 crashes. Its broadcast reached only node 1 first-hand.
+     With relaying node 1 forwards it to node 2; without, node 2 never
+     sees it. *)
+  let system =
+    System.create ~seed:5 ~n:3
+      ~faults:
+        [
+          Schedule.degrade_link ~src:0 ~dst:2 ~link:(Latency.constant 1e9) ~from_:0.0
+            ~until:infinity;
+        ]
+      ()
+  in
   P.Udp.register system;
   P.Rp2p.register
     ~config:{ P.Rp2p.default_config with max_retries = 3 }
@@ -339,8 +355,6 @@ let relay_agreement_scenario ~relay =
       listen system ~node ~svc:P.Rbcast.service (fun p ->
           match p with P.Rbcast.Deliver _ -> delivered.(node) <- true | _ -> ()))
     [ 1; 2 ];
-  Dpu_net.Datagram.set_drop_filter (System.net system)
-    (Some (fun ~src ~dst _ -> src = 0 && dst = 2));
   Stack.call (System.stack system 0) P.Rbcast.service
     (P.Rbcast.Bcast { size = 64; payload = Blob "m" });
   ignore
@@ -484,10 +498,14 @@ let test_consensus_partition_heal () =
   (* A minority partition stalls nothing (majority decides); the healed
      minority node catches up via the decide relay / late-participant
      short-circuit. *)
-  let system = make_system ~n:5 ~seed:6 () in
+  let system =
+    make_system ~n:5 ~seed:6
+      ~faults:
+        [ Schedule.partition ~at:0.0 [ [ 0; 1; 2; 3 ]; [ 4 ] ]; Schedule.heal ~at:2_000.0 ]
+      ()
+  in
   ensure_all system Service.consensus;
   let logs = decisions_log system in
-  Dpu_net.Datagram.partition (System.net system) [ [ 0; 1; 2; 3 ]; [ 4 ] ];
   let iid = { P.Consensus_iface.epoch = 0; k = 0 } in
   propose system ~node:1 ~iid "majority";
   System.run_for system 2_000.0;
@@ -496,7 +514,6 @@ let test_consensus_partition_heal () =
       if node <> 4 then
         check Alcotest.string "majority side decided" "majority" (List.assoc iid !log))
     logs;
-  Dpu_net.Datagram.heal (System.net system);
   System.run_until_quiescent ~limit:30_000.0 system;
   check Alcotest.string "healed node caught up" "majority"
     (List.assoc iid !(List.nth logs 4))
@@ -504,10 +521,14 @@ let test_consensus_partition_heal () =
 let test_consensus_minority_side_cannot_decide () =
   (* Safety under partition: the 2-node side of a 5-node system must
      not decide anything on its own. *)
-  let system = make_system ~n:5 ~seed:7 () in
+  let system =
+    make_system ~n:5 ~seed:7
+      ~faults:
+        [ Schedule.partition ~at:0.0 [ [ 0; 1; 2 ]; [ 3; 4 ] ]; Schedule.heal ~at:3_000.0 ]
+      ()
+  in
   ensure_all system Service.consensus;
   let logs = decisions_log system in
-  Dpu_net.Datagram.partition (System.net system) [ [ 0; 1; 2 ]; [ 3; 4 ] ];
   let iid = { P.Consensus_iface.epoch = 0; k = 0 } in
   propose system ~node:3 ~iid "minority-value";
   System.run_for system 3_000.0;
@@ -518,7 +539,6 @@ let test_consensus_minority_side_cannot_decide () =
      No_value estimates, and an all-empty quorum legitimately decides
      empty — the consensus-based ABcast simply re-proposes in the next
      instance. What is forbidden is disagreement.) *)
-  Dpu_net.Datagram.heal (System.net system);
   System.run_until_quiescent ~limit:60_000.0 system;
   let decisions = List.map (fun log -> List.assoc iid !log) logs in
   (match decisions with

@@ -10,6 +10,7 @@ module SB = Dpu_core.Stack_builder
 module Rng = Dpu_engine.Rng
 module Sim = Dpu_engine.Sim
 module Clock = Dpu_runtime.Clock
+module Schedule = Dpu_faults.Schedule
 
 let check = Alcotest.check
 
@@ -84,9 +85,18 @@ let run_plan plan =
       msg_size = 1024;
     }
   in
-  let mw = MW.create ~config ~n:plan.n () in
+  let faults =
+    match plan.partition with
+    | Some (start, heal) ->
+      let isolated = plan.n - 1 in
+      [
+        Schedule.partition ~at:start [ List.init (plan.n - 1) (fun i -> i); [ isolated ] ];
+        Schedule.heal ~at:heal;
+      ]
+    | None -> []
+  in
+  let mw = MW.create ~config ~faults ~n:plan.n () in
   let clock = System.clock (MW.system mw) in
-  let net = System.net (MW.system mw) in
   Dpu_workload.Load_gen.start mw ~rate_per_s:plan.rate ~until:plan.duration_ms ();
   List.iter
     (fun (t, variant) ->
@@ -98,15 +108,6 @@ let run_plan plan =
     ignore
       (Clock.defer clock ~delay:t (fun () ->
            MW.change_consensus mw ~node:1 Dpu_protocols.Consensus_paxos.protocol_name))
-  | None -> ());
-  (match plan.partition with
-  | Some (start, heal) ->
-    let isolated = plan.n - 1 in
-    ignore
-      (Clock.defer clock ~delay:start (fun () ->
-           Dpu_net.Datagram.partition net
-             [ List.init (plan.n - 1) (fun i -> i); [ isolated ] ]));
-    ignore (Clock.defer clock ~delay:heal (fun () -> Dpu_net.Datagram.heal net))
   | None -> ());
   (match plan.crash with
   | Some (t, node) ->

@@ -155,8 +155,12 @@ let test_experiment_check_clean () =
 let test_experiment_crash_injection () =
   let r =
     W.Experiment.run
-      ~crash_at:[ (500.0, 2) ]
-      { small with n = 5; switch_at_ms = 1_200.0 }
+      {
+        small with
+        n = 5;
+        switch_at_ms = 1_200.0;
+        faults = [ Dpu_faults.Schedule.crash ~at:500.0 2 ];
+      }
   in
   check (Alcotest.list Alcotest.int) "correct nodes" [ 0; 1; 3; 4 ] r.W.Experiment.correct;
   let reports = Dpu_props.Abcast_props.check_all r.W.Experiment.collector
