@@ -349,7 +349,7 @@ let shard_cmd =
     Arg.(
       value & opt int 15
       & info [ "n"; "nodes" ] ~docv:"N"
-          ~doc:"Total nodes, partitioned round-robin across the shards.")
+          ~doc:"Total nodes, split into contiguous blocks, one per shard.")
   in
   let duration =
     Arg.(

@@ -1,6 +1,4 @@
 module Sim = Dpu_engine.Sim
-module Rng = Dpu_engine.Rng
-module Datagram = Dpu_net.Datagram
 module System = Dpu_kernel.System
 
 type t = {
@@ -33,26 +31,14 @@ let create ?(config = Middleware.default_config) ?register_extra ~shards ~n () =
       first_node.(g) <- !acc;
       acc := !acc + ng)
     sizes;
+  (* [Array.init] runs in index order, so shard g joins the fresh
+     simulator as its group g. *)
   let groups =
     Array.init shards (fun g ->
-        let ng = sizes.(g) in
-        (* Every random draw of group g comes from the keyed substream
-           for g: the parent is not advanced, so a shard keeps its
-           exact randomness no matter how many shards exist. *)
-        let g_rng = Rng.split_key (Sim.rng sim) ~key:g in
-        let net =
-          Datagram.create sim ~n:ng ~rng:(Rng.split g_rng)
-            ~loss:config.Middleware.loss ~dup:config.Middleware.dup
-            ~link:config.Middleware.link ()
-        in
-        let group = Sim.new_group sim in
-        let runtime = Dpu_runtime.Sim_backend.runtime ~group ~rng:g_rng sim net in
-        let system =
-          System.of_sim ~group_id:g ~hop_cost:config.Middleware.hop_cost
-            ~trace_enabled:config.Middleware.trace_enabled ~metrics ~runtime ~sim
-            ~net ~n:ng ()
-        in
-        Middleware.of_system ~config ?register_extra system)
+        Middleware.of_system ~config ?register_extra
+          (System.create ~sim ~loss:config.Middleware.loss ~dup:config.Middleware.dup
+             ~link:config.Middleware.link ~hop_cost:config.Middleware.hop_cost
+             ~trace_enabled:config.Middleware.trace_enabled ~metrics ~n:sizes.(g) ()))
   in
   let gens = Array.make shards 0 in
   Array.iteri

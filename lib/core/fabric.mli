@@ -1,7 +1,8 @@
 (** A multi-group ABcast fabric: N independent protocol groups sharing
     ONE discrete-event simulator.
 
-    Each group (shard) is a full {!Middleware} cluster — its own
+    Each group (shard) is a full {!Middleware} cluster, built by
+    {!Dpu_kernel.System.create} joining the shared simulator — its own
     simulated network, registry, kernel trace, collector and
     generations — so a {!change_protocol} on one shard runs Algorithm 1
     entirely inside that shard: replacements on different shards
@@ -10,10 +11,12 @@
     each group's zero-delay work drains through its own ready queue
     ([Sim.new_group]).
 
-    Randomness is keyed, not sequential: group [g] draws from
-    [Rng.split_key root ~key:g], so a shard's stream — network jitter,
-    workload gaps — is identical whether the fabric has 4 shards or
-    400.
+    Randomness is keyed, not sequential: group 0 draws from the
+    simulator's root stream, exactly as a standalone cluster does, and
+    group [g >= 1] from [Sim.substream sim ~key:g]. A shard's stream —
+    network jitter, workload gaps — is therefore identical whether the
+    fabric has 4 shards or 400, and a one-shard fabric is the same run
+    as {!Middleware.create} with the same config.
 
     {[
       let fabric = Fabric.create ~shards:16 ~n:63 () in
@@ -32,11 +35,13 @@ val create :
   n:int ->
   unit ->
   t
-(** [create ~shards ~n ()] partitions [n] total nodes round-robin into
-    [shards] groups (sizes differ by at most one; [n >= shards]
-    required). [config] applies to every group; [config.seed] seeds the
-    one shared simulator. With [config.metrics_enabled] all groups
-    share one registry — per-group series carry a [group=g] label. *)
+(** [create ~shards ~n ()] splits [n] total nodes into [shards]
+    contiguous blocks (sizes differ by at most one, larger blocks first;
+    [n >= shards] required). [config] applies to every group;
+    [config.seed] seeds the one shared simulator. With
+    [config.metrics_enabled] all groups share one registry: the
+    simulator's rows appear once, and each group's network, kernel and
+    app series carry a [group=g] label. *)
 
 val shards : t -> int
 

@@ -40,19 +40,14 @@ let of_system ?(config = default_config) ?register_extra system =
   let metrics = System.metrics system in
   let collector = Collector.create () in
   Stack_builder.build ~collector ?register_extra ~profile:config.profile system;
-  (* On a fabric's shared registry the group label keeps each group's
-     app counter its own series. *)
-  let labels =
-    match System.group_id system with
-    | Some g -> [ ("group", string_of_int g) ]
-    | None -> []
-  in
   {
     config;
     system;
     collector;
     metrics;
-    m_sends = Dpu_obs.Metrics.counter metrics ~labels "app_sends_total";
+    m_sends =
+      Dpu_obs.Metrics.counter metrics ~labels:(System.metric_labels system)
+        "app_sends_total";
     next_seq = Array.make (System.n system) 0;
   }
 

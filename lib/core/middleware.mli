@@ -1,11 +1,15 @@
 (** Adaptive group-communication middleware — the public face of the
     library.
 
-    A [t] is a simulated cluster running the Fig. 4 stack on every
-    node. Applications broadcast messages, receive totally ordered
-    deliveries, observe membership views, and — the point of the paper
-    — replace the atomic broadcast protocol on the fly with
-    {!change_protocol} while everything keeps running.
+    A [t] runs the Fig. 4 stack on every local node of one
+    {!Dpu_kernel.System}, in either of its two deployment shapes: a
+    simulated cluster ({!create}, or one group of a {!Fabric}) or a
+    live deployment where this process hosts some of the nodes
+    ({!of_system} over {!Dpu_kernel.System.of_runtime}). Applications
+    broadcast messages, receive totally ordered deliveries, observe
+    membership views, and — the point of the paper — replace the atomic
+    broadcast protocol on the fly with {!change_protocol} while
+    everything keeps running.
 
     {[
       let mw = Middleware.create ~n:3 () in
@@ -48,11 +52,14 @@ val create :
     the executable baselines' replacement layers) before the stacks are
     built. [faults] is played against the network as in
     {!Dpu_kernel.System.create}: its crashes silence the network
-    endpoint only — call {!crash} for a fail-stop. *)
+    endpoint only — call {!crash} for a fail-stop. The cluster is group
+    0 of its own simulator, so it is the same run as
+    [Fabric.group (Fabric.create ~config ~shards:1 ~n ()) 0]. *)
 
 val of_system : ?config:config -> ?register_extra:(System.t -> unit) -> System.t -> t
-(** Like {!create}, but on a system the caller already built — e.g. a
-    live deployment assembled with {!Dpu_kernel.System.of_runtime}.
+(** Like {!create}, but on a system the caller already built — a live
+    deployment assembled with {!Dpu_kernel.System.of_runtime}, or a
+    fabric group from {!Dpu_kernel.System.create}[ ~sim].
     The simulation-only fields of [config] (seed, loss, dup, link,
     hop_cost, trace/metrics switches) are ignored: those live in the
     system itself. Only the local stacks of [system] are built. *)

@@ -71,6 +71,7 @@ type t = {
   mutable clock : float;
   mutable stopping : bool;
   root_rng : Rng.t;
+  seed_rng : Rng.t; (* the root's initial state; never drawn from *)
   mutable scheduled : int;
   mutable executed : int;
 }
@@ -99,6 +100,7 @@ let create ?(seed = 1) () =
     clock = 0.0;
     stopping = false;
     root_rng = Rng.create ~seed;
+    seed_rng = Rng.create ~seed;
     scheduled = 0;
     executed = 0;
   }
@@ -106,6 +108,8 @@ let create ?(seed = 1) () =
 let now t = t.clock
 
 let rng t = t.root_rng
+
+let substream t ~key = Rng.split_key t.seed_rng ~key
 
 (* ------------------------------------------------------------------ *)
 (* Arena                                                              *)

@@ -32,6 +32,11 @@ val rng : t -> Rng.t
 (** The simulator's root PRNG. Subsystems should [Rng.split] it (or
     [Rng.split_key] it, for streams independent of subsystem count). *)
 
+val substream : t -> key:int -> Rng.t
+(** [Rng.split_key] of the root's {e initial} state: a pure function of
+    the seed and [key], whatever has drawn from {!rng} since. A fabric
+    group's stream, so it never depends on when the group was built. *)
+
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] runs [f] at [now t +. max delay 0.]. *)
 

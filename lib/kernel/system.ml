@@ -1,4 +1,5 @@
 module Sim = Dpu_engine.Sim
+module Rng = Dpu_engine.Rng
 module Datagram = Dpu_net.Datagram
 module Clock = Dpu_runtime.Clock
 module Runtime = Dpu_runtime.Runtime
@@ -23,6 +24,8 @@ type t = {
   group_id : int option;
 }
 
+let group_labels = function Some g -> [ ("group", string_of_int g) ] | None -> []
+
 let make ?group_id ~backend ~runtime ~trace ~metrics ~hop_cost ~n ~local () =
   let clock = Dpu_runtime.Runtime.clock runtime in
   let stacks = Array.make n None in
@@ -44,18 +47,36 @@ let make ?group_id ~backend ~runtime ~trace ~metrics ~hop_cost ~n ~local () =
     group_id;
   }
 
-let create ?(seed = 1) ?(loss = 0.0) ?(dup = 0.0) ?(link = Dpu_net.Latency.lan)
+let create ?(seed = 1) ?sim ?(loss = 0.0) ?(dup = 0.0) ?(link = Dpu_net.Latency.lan)
     ?(faults = []) ?(hop_cost = 0.05) ?(trace_enabled = true)
     ?(metrics = Dpu_obs.Metrics.noop) ~n () =
   (match Dpu_faults.Schedule.validate ~n faults with
   | Ok () -> ()
   | Error msg -> invalid_arg ("System.create: bad fault schedule: " ^ msg));
-  let sim = Sim.create ~seed () in
-  let net = Datagram.create sim ~n ~loss ~dup ~link () in
-  let trace = Trace.create ~enabled:trace_enabled () in
-  Sim.register_metrics sim metrics;
-  Datagram.register_metrics net metrics;
-  let base = Dpu_runtime.Sim_backend.runtime sim net in
+  (* A standalone system owns its simulator (and its metric rows); a
+     joining one is the shared simulator's next group, and the fabric
+     that built the simulator registers it once. *)
+  let sim, group_id =
+    match sim with
+    | None ->
+      let sim = Sim.create ~seed () in
+      Sim.register_metrics sim metrics;
+      (sim, None)
+    | Some sim -> (sim, Some (Sim.groups sim))
+  in
+  let group = Sim.new_group sim in
+  (* Group 0 (every standalone system) draws from the root stream; a
+     later group from the keyed substream for its id, which no draw on
+     the root moves — so a group's randomness is independent of how
+     many groups share the simulator. *)
+  let rng =
+    match group_id with
+    | None | Some 0 -> Sim.rng sim
+    | Some g -> Sim.substream sim ~key:g
+  in
+  let net = Datagram.create sim ~n ~rng:(Rng.split rng) ~loss ~dup ~link () in
+  Datagram.register_metrics net metrics ~labels:(group_labels group_id);
+  let base = Dpu_runtime.Sim_backend.runtime ~group ~rng sim net in
   let runtime, shim =
     match faults with
     | [] -> (base, None)
@@ -65,13 +86,12 @@ let create ?(seed = 1) ?(loss = 0.0) ?(dup = 0.0) ?(link = Dpu_net.Latency.lan)
         Fault_transport.create ~seed:(seed + 0x5eed) ~schedule ~clock
           (Runtime.transport base)
       in
-      ( Runtime.create ~clock ~transport:(Fault_transport.transport shim)
-          ~rng:(Runtime.rng base),
+      ( Runtime.create ~clock ~transport:(Fault_transport.transport shim) ~rng,
         Some shim )
   in
-  make
+  make ?group_id
     ~backend:(Simulated { sim; net; shim })
-    ~runtime ~trace ~metrics ~hop_cost ~n
+    ~runtime ~trace:(Trace.create ~enabled:trace_enabled ()) ~metrics ~hop_cost ~n
     ~local:(List.init n Fun.id) ()
 
 let of_runtime ?(hop_cost = 0.05) ?(trace_enabled = true)
@@ -80,19 +100,11 @@ let of_runtime ?(hop_cost = 0.05) ?(trace_enabled = true)
   let local = match local with None -> List.init n Fun.id | Some l -> l in
   make ~backend:External ~runtime ~trace ~metrics ~hop_cost ~n ~local ()
 
-let of_sim ?group_id ?(hop_cost = 0.05) ?(trace_enabled = true)
-    ?(metrics = Dpu_obs.Metrics.noop) ~runtime ~sim ~net ~n () =
-  if Datagram.size net <> n then
-    invalid_arg "System.of_sim: network size does not match n";
-  let trace = Trace.create ~enabled:trace_enabled () in
-  make ?group_id
-    ~backend:(Simulated { sim; net; shim = None })
-    ~runtime ~trace ~metrics ~hop_cost ~n
-    ~local:(List.init n Fun.id) ()
-
 let n t = Array.length t.stacks
 
 let group_id t = t.group_id
+
+let metric_labels t = group_labels t.group_id
 
 let runtime t = t.runtime
 

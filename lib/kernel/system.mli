@@ -6,12 +6,12 @@
 
     Two deployment shapes exist:
 
-    - {!create} builds the classic {e simulated} deployment: a
-      discrete-event simulator, a simulated datagram network, and all
-      [n] stacks living in this process. A fault schedule, if any,
-      reaches the network through the one interpreter there is,
-      {!Dpu_faults.Fault_transport}, wrapped around the simulated
-      transport.
+    - {!create} builds a {e simulated} deployment: all [n] stacks live
+      in this process over a discrete-event simulator and a simulated
+      datagram network. It is the one place that wires a simulated
+      group — its RNG stream, ready queue, network, fault shim and
+      metric rows — whether the system owns its simulator or joins a
+      shared one as a group of a multi-group fabric.
     - {!of_runtime} wraps an externally supplied runtime (e.g. the
       live-clock/UDP backend), where typically only {e one} node of the
       [n]-node system is local to this process. Non-local slots have no
@@ -21,6 +21,7 @@ type t
 
 val create :
   ?seed:int ->
+  ?sim:Dpu_engine.Sim.t ->
   ?loss:float ->
   ?dup:float ->
   ?link:Dpu_net.Latency.link ->
@@ -31,9 +32,22 @@ val create :
   n:int ->
   unit ->
   t
-(** Simulated deployment. [metrics] (default {!Dpu_obs.Metrics.noop})
-    is wired into the simulator, the network and every stack; protocol
-    modules reach it through [Stack.metrics].
+(** Simulated deployment. Without [sim] the system owns a fresh
+    simulator seeded with [seed] (default 1). With [sim] it joins that
+    simulator as its next group: {!group_id} is [Sim.groups sim] at the
+    call, and driving the system ({!run_for}, …) advances the {e shared}
+    simulator. Either way the system gets its own ready queue
+    ([Sim.new_group]), network, registry, trace and generations, and
+    draws its randomness from [Sim.rng sim] if it is group 0 (a
+    standalone system always is) or from [Sim.substream sim ~key:g] if
+    it is group [g >= 1]. A standalone system and group 0 of a fresh
+    simulator are therefore the same run.
+
+    [metrics] (default {!Dpu_obs.Metrics.noop}) is wired into the
+    network and every stack; protocol modules reach it through
+    [Stack.metrics]. A standalone system also registers its simulator
+    there; a joining one leaves that to whoever built the simulator,
+    and labels its network and kernel rows [group=g].
 
     [faults] (default [[]]) is a schedule played against the network
     by a {!Dpu_faults.Fault_transport} shim seeded with
@@ -56,31 +70,15 @@ val of_runtime :
     (default: all of [0..n-1]) lists the nodes whose stacks live in
     this process. *)
 
-val of_sim :
-  ?group_id:int ->
-  ?hop_cost:float ->
-  ?trace_enabled:bool ->
-  ?metrics:Dpu_obs.Metrics.t ->
-  runtime:Payload.t Dpu_runtime.Runtime.t ->
-  sim:Dpu_engine.Sim.t ->
-  net:Payload.t Dpu_net.Datagram.t ->
-  n:int ->
-  unit ->
-  t
-(** One {e group} of a multi-group fabric: a simulated deployment over
-    a caller-built simulator, network and runtime, so many systems can
-    share ONE [Sim.t] (each with its own network, registry, trace and
-    generations). Unlike {!create} nothing is registered on [metrics] —
-    a fabric shares one registry across groups and per-group kernel
-    series are told apart by the [group=g] label that [group_id] adds
-    via [Stack.create]. The driving calls ({!run_for}, …) advance the
-    {e shared} simulator. *)
-
 val n : t -> int
 
 val group_id : t -> int option
-(** The fabric group this system is a member of ([None] outside a
-    fabric). *)
+(** The group this system joined a shared simulator as ([None] for a
+    standalone or {!of_runtime} system). *)
+
+val metric_labels : t -> (string * string) list
+(** [[("group", g)]] for a fabric group, [[]] otherwise: the labels
+    that keep a group's series its own on a shared registry. *)
 
 val runtime : t -> Payload.t Dpu_runtime.Runtime.t
 
@@ -89,7 +87,7 @@ val clock : t -> Dpu_runtime.Clock.t
 val transport : t -> Payload.t Dpu_runtime.Transport.t
 
 val rng : t -> Dpu_engine.Rng.t
-(** The runtime's root PRNG (the simulator's root under {!create}). *)
+(** The runtime's PRNG: the stream {!create} chose for the group. *)
 
 val net : t -> Payload.t Dpu_net.Datagram.t
 (** The simulated datagram network (counters, egress backlog,
@@ -100,8 +98,8 @@ val is_simulated : t -> bool
 
 val fault_stats : t -> Dpu_faults.Fault_transport.stats
 (** The fault shim's ledger; {!Dpu_faults.Fault_transport.no_stats}
-    when {!create} got no schedule (and on {!of_sim}/{!of_runtime}
-    deployments, which wrap their transport themselves). *)
+    when {!create} got no schedule (and on {!of_runtime} deployments,
+    which wrap their transport themselves). *)
 
 val trace : t -> Trace.t
 

@@ -68,10 +68,12 @@ val correct_nodes : 'a t -> int list
 
 val counters : 'a t -> counters
 
-val register_metrics : 'a t -> Dpu_obs.Metrics.t -> unit
+val register_metrics :
+  ?labels:(string * string) list -> 'a t -> Dpu_obs.Metrics.t -> unit
 (** Export every {!counters} field (plus [net_blocked_by_cause_total]
     labelled by cause and the current loss/dup probabilities) as
-    snapshot-time callbacks — no per-datagram cost. *)
+    snapshot-time callbacks — no per-datagram cost. [labels] (default
+    none) tag every row, e.g. with the fabric group. *)
 
 val egress_backlog_ms : 'a t -> node:int -> float
 (** How far ahead of the current virtual time the node's interface is

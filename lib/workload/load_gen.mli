@@ -24,6 +24,19 @@ val start :
 (** Schedule broadcasts on every node from now until virtual time
     [until] (ms). Total system rate is [rate_per_s]. *)
 
+val closed_loop :
+  Dpu_core.Middleware.t ->
+  clients_per_node:int ->
+  ?size:int ->
+  until:float ->
+  unit ->
+  unit
+(** Closed-loop load: [clients_per_node] outstanding messages on every
+    node, each re-broadcast (after a 0.05 ms think time) when its own
+    previous message comes back delivered, until virtual time [until].
+    No offered rate to guess: the loop settles at what the group
+    sustains. *)
+
 val send_n :
   Dpu_core.Middleware.t ->
   count:int ->

@@ -51,7 +51,9 @@ type shard_result = {
   measured : int;  (** latency samples after warmup *)
   p50_ms : float;
   p99_ms : float;
-  p999_ms : float;  (** bucket estimates ({!Dpu_obs.Metrics.quantile_of_buckets}) *)
+  p999_ms : float;
+      (** exact percentiles of the [measured] samples
+          ({!Dpu_engine.Stats.percentile}); 0 when there are none *)
   mean_ms : float;
   generation : int;
   window : (float * float) option;  (** switch window of [generation] *)

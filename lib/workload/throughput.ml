@@ -3,7 +3,6 @@ module SB = Dpu_core.Stack_builder
 module Collector = Dpu_core.Collector
 module Series = Dpu_engine.Series
 module Stats = Dpu_engine.Stats
-module Clock = Dpu_runtime.Clock
 
 type point = {
   offered : float;
@@ -107,28 +106,7 @@ let sweep ?(params = default) ~loads () =
 let saturate ?(params = default) ?(clients_per_node = 4) () =
   let p = params in
   let mw = make_mw p in
-  let clock = Dpu_kernel.System.clock (MW.system mw) in
-  let think_ms = 0.05 in
-  for node = 0 to p.n - 1 do
-    (* A closed-loop client: re-broadcast the moment our own previous
-       message comes back delivered. The re-send is deferred by a tiny
-       think time rather than issued inside the delivery indication, so
-       the stack never re-enters itself mid-dispatch. *)
-    let send () =
-      if Clock.now clock < p.duration_ms then
-        ignore (MW.broadcast mw ~node ~size:p.msg_size "closed-loop" : Dpu_kernel.Msg.t)
-    in
-    MW.subscribe mw ~node (fun m ->
-        if m.Dpu_kernel.Msg.id.Dpu_kernel.Msg.origin = node then
-          ignore (Clock.defer clock ~delay:think_ms send));
-    for c = 0 to clients_per_node - 1 do
-      (* Staggered starts: one in-flight message per client slot. *)
-      ignore
-        (Clock.defer clock
-           ~delay:(think_ms *. float_of_int ((node * clients_per_node) + c + 1))
-           send)
-    done
-  done;
+  Load_gen.closed_loop mw ~clients_per_node ~size:p.msg_size ~until:p.duration_ms ();
   MW.run_until_quiescent ~limit:(p.duration_ms +. 600_000.0) mw;
   (* A closed loop offers exactly what it sustains. *)
   let pt = point_of p ~offered:0.0 mw in

@@ -270,6 +270,19 @@ let test_rng_split_key_zero_matches_split () =
 (* Sim                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let test_sim_substream_ignores_root_draws () =
+  (* A fabric group's stream is keyed off the root's initial state, so
+     group 0 drawing from the root first cannot move it. *)
+  let sim = Sim.create ~seed:9 () in
+  let before = stream (Sim.substream sim ~key:2) in
+  ignore (Rng.split (Sim.rng sim) : Rng.t);
+  ignore (Rng.float (Sim.rng sim) : float);
+  check (Alcotest.list Alcotest.int64) "unmoved by root draws" before
+    (stream (Sim.substream sim ~key:2));
+  check (Alcotest.list Alcotest.int64) "split_key of the seed's root"
+    (stream (Rng.split_key (Rng.create ~seed:9) ~key:2))
+    before
+
 let test_sim_schedule_order () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -755,6 +768,7 @@ let () =
           tc "group positive delay via heap" test_sim_group_positive_delay_uses_heap;
           tc "group pending counts" test_sim_group_pending_counts;
           tc "group cancel ready" test_sim_group_cancel_ready;
+          tc "substream ignores root draws" test_sim_substream_ignores_root_draws;
         ] );
       ( "stats",
         [

@@ -20,7 +20,7 @@ let test_create_sizes () =
   check Alcotest.int "shards" 4 (Fabric.shards fabric);
   check Alcotest.int "total nodes" 7 (Fabric.total_nodes fabric);
   let sizes = List.init 4 (fun g -> Fabric.group_size fabric g) in
-  check (Alcotest.list Alcotest.int) "round-robin sizes" [ 2; 2; 2; 1 ] sizes;
+  check (Alcotest.list Alcotest.int) "contiguous block sizes" [ 2; 2; 2; 1 ] sizes;
   let firsts = List.init 4 (fun g -> Fabric.first_node fabric g) in
   check (Alcotest.list Alcotest.int) "global first nodes" [ 0; 2; 4; 6 ] firsts
 
@@ -120,27 +120,77 @@ let test_shard_stream_independent_of_shard_count () =
       check (Alcotest.float 1e-9) "same virtual times" t2 t4)
     two four
 
+(* The run a one-shard fabric must reproduce: n=5, seed 3, 0.5 ms hops,
+   Poisson load at 40 msg/s for 3 s and a CT->CT switch at 1.5 s. It
+   returns everything an observer could tell the two builds apart by:
+   the sends, every node's deliveries with their virtual times, and the
+   switch records. *)
+let motivation_run mw =
+  let clock = Dpu_kernel.System.clock (MW.system mw) in
+  Dpu_workload.Load_gen.start mw ~rate_per_s:40.0 ~pattern:Dpu_workload.Load_gen.Poisson
+    ~until:3_000.0 ();
+  Dpu_runtime.Clock.defer clock ~delay:1_500.0 (fun () ->
+      MW.change_protocol mw ~node:0 Variants.ct);
+  MW.run_until_quiescent ~limit:8_000.0 mw;
+  let c = MW.collector mw in
+  let id (i : Dpu_kernel.Msg.id) = Printf.sprintf "%d.%d" i.origin i.seq in
+  ( List.map (fun (i, node, t) -> (id i, node, t)) (Collector.sends c),
+    List.init (MW.n mw) (fun node ->
+        List.map (fun (i, t) -> (id i, t)) (Collector.delivers_of c ~node)),
+    Collector.switches c )
+
+let motivation_config = { MW.default_config with seed = 3; hop_cost = 0.5 }
+
 let test_single_shard_fabric_behaves () =
-  (* One shard is today's system: same stack, same properties, all
-     messages delivered everywhere. *)
-  let fabric = Fabric.create ~shards:1 ~n:5 () in
+  (* A one-shard fabric is the standalone cluster: the same stack and
+     properties, and — since both are built by one [System.create] over
+     a fresh simulator's root stream — the very same run. *)
+  let fabric = Fabric.create ~config:motivation_config ~shards:1 ~n:5 () in
   let mw = Fabric.group fabric 0 in
-  let seen = ref 0 in
-  MW.subscribe mw ~node:4 (fun _ -> incr seen);
-  for node = 0 to 4 do
-    ignore (MW.broadcast mw ~node "x" : Dpu_kernel.Msg.t)
-  done;
-  Fabric.change_protocol fabric ~shard:0 Variants.sequencer;
-  for node = 0 to 4 do
-    ignore (MW.broadcast mw ~node "y" : Dpu_kernel.Msg.t)
-  done;
-  Fabric.run_until_quiescent ~limit:30_000.0 fabric;
-  check Alcotest.int "all delivered at node 4" 10 !seen;
+  let sends, delivers, switches = motivation_run mw in
+  let sends', delivers', switches' =
+    motivation_run (MW.create ~config:motivation_config ~n:5 ())
+  in
+  let triple = Alcotest.(list (triple string int (float 0.0))) in
+  check Alcotest.bool "load was offered" true (List.length sends > 50);
+  check Alcotest.int "all delivered at node 4" (List.length sends)
+    (List.length (List.nth delivers 4));
+  check triple "same sends" sends' sends;
+  List.iteri
+    (fun node d ->
+      check
+        Alcotest.(list (pair string (float 0.0)))
+        (Printf.sprintf "same deliveries at node %d" node)
+        (List.nth delivers' node) d)
+    delivers;
+  check Alcotest.(list (triple int int (float 0.0))) "same switches" switches' switches;
   check Alcotest.int "gen" 1 (Fabric.generation fabric ~shard:0);
   let reports =
     Dpu_props.Abcast_props.check_all (MW.collector mw) ~correct:[ 0; 1; 2; 3; 4 ]
   in
   check Alcotest.bool "properties" true (Dpu_props.Report.all_ok reports)
+
+let test_fabric_metric_rows () =
+  (* One shared registry: the simulator's rows once, unlabelled, and
+     each group's network rows under its own [group] label. *)
+  let config = { MW.default_config with metrics_enabled = true } in
+  let fabric = Fabric.create ~config ~shards:2 ~n:4 () in
+  Fabric.iter_groups fabric (fun _ mw ->
+      ignore (MW.broadcast mw ~node:0 "m" : Dpu_kernel.Msg.t));
+  Fabric.run_until_quiescent ~limit:1_000.0 fabric;
+  let m = Fabric.metrics fabric in
+  let v ?labels name = Dpu_obs.Metrics.value m ?labels name in
+  check Alcotest.bool "simulator rows" true (Option.is_some (v "sim_events_executed_total"));
+  check Alcotest.bool "no unlabelled network rows" true (Option.is_none (v "net_sent_total"));
+  Fabric.iter_groups fabric (fun g mw ->
+      let sent =
+        (Dpu_net.Datagram.counters (Dpu_kernel.System.net (MW.system mw))).sent
+      in
+      check
+        Alcotest.(option (float 0.0))
+        (Printf.sprintf "group %d net_sent_total" g)
+        (Some (float_of_int sent))
+        (v ~labels:[ ("group", string_of_int g) ] "net_sent_total"))
 
 (* ------------------------------------------------------------------ *)
 (* Sharded app tier                                                   *)
@@ -307,6 +357,7 @@ let () =
             test_shard_stream_independent_of_shard_count;
           Alcotest.test_case "single-shard fabric behaves" `Quick
             test_single_shard_fabric_behaves;
+          Alcotest.test_case "metric rows per group" `Quick test_fabric_metric_rows;
         ] );
       ( "sharded-apps",
         [
