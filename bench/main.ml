@@ -5,7 +5,9 @@
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig5    # one section
-     sections: fig5 fig6 headline compare throughput shard ablation micro *)
+     dune exec bench/main.exe -- --jobs 2 fig6 shard
+     sections: fig5 fig6 headline compare throughput shard ablation
+     consensus model micro *)
 
 module W = Dpu_workload
 module E = W.Experiment
@@ -127,7 +129,7 @@ let run_throughput () =
   let outcome =
     W.Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun _ i ->
         let batching, offered = grid.(i) in
-        T.measure { T.default with T.batching } ~offered)
+        T.measure (T.with_batching batching T.default) ~offered)
   in
   record_sweep "throughput" outcome.W.Sweep.stats;
   let curve batching =
@@ -141,7 +143,7 @@ let run_throughput () =
   (* Closed loop: enough outstanding messages per node to keep batches
      full; settles at the sustainable rate with no offered-load guess. *)
   let closed batching =
-    T.saturate ~params:{ T.default with T.batching } ~clients_per_node:16 ()
+    T.saturate ~clients_per_node:16 (T.with_batching batching T.default)
   in
   let closed_off = closed None and closed_on = closed batched in
   let pt_rows (c : T.curve) =
@@ -200,8 +202,8 @@ let run_throughput () =
   record "throughput"
     (Json.Obj
        [
-         ("seed", Json.Int T.default.T.seed);
-         ("n", Json.Int T.default.T.n);
+         ("seed", Json.Int T.default.W.Run.config.Dpu_core.Middleware.seed);
+         ("n", Json.Int T.default.W.Run.n);
          ("max_batch", Json.Int 16);
          ("max_delay_ms", Json.Float 5.0);
          ("curves", Json.List [ curve_json off; curve_json on ]);
@@ -239,19 +241,21 @@ let run_shard () =
   let outcome =
     W.Sweep.run ~jobs:!jobs ~cells:(Array.length grid) (fun _ i ->
         let n, shards = grid.(i) in
-        let params =
-          {
-            Sh.default with
-            n;
-            shards;
-            load_per_s = 1.5 *. float_of_int n;
-            warmup_ms = 100.0;
-            duration_ms = 600.0;
-            drain_ms = 1_200.0;
-            rolling = Some { Sh.default_rolling with start_ms = 250.0 };
-          }
+        let r =
+          Sh.run
+            (Sh.rolling ~start_ms:250.0
+               {
+                 Sh.default with
+                 n;
+                 shards;
+                 load =
+                   W.Run.Open
+                     { rate_per_s = 1.5 *. float_of_int n; pattern = W.Load_gen.Constant };
+                 warmup_ms = 100.0;
+                 until_ms = 600.0;
+                 drain_ms = 1_200.0;
+               })
         in
-        let r = Sh.run ~params () in
         let sum f = List.fold_left (fun a s -> a + f s) 0 r.Sh.per_shard in
         let worst f =
           List.fold_left (fun a s -> Float.max a (f s)) 0.0 r.Sh.per_shard
@@ -290,7 +294,7 @@ let run_shard () =
   record "shard"
     (Json.Obj
        [
-         ("seed", Json.Int Sh.default.Sh.seed);
+         ("seed", Json.Int Sh.default.W.Run.config.Dpu_core.Middleware.seed);
          ( "cells",
            Json.List
              (List.map
@@ -963,45 +967,8 @@ let all_sections =
     ("micro", run_micro);
   ]
 
-let usage () =
-  Printf.eprintf
-    "usage: bench/main.exe [-j N | --jobs N] [SECTION...]\nsections: %s\n"
-    (String.concat " " (List.map fst all_sections));
-  exit 2
-
-let () =
-  (* Minimal hand parsing: [-j N] / [--jobs N] / [--jobs=N] anywhere,
-     remaining arguments name sections (default: all). *)
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | ("-j" | "--jobs") :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some j when j >= 1 ->
-        jobs := j;
-        parse acc rest
-      | Some _ | None -> usage ())
-    | [ "-j" ] | [ "--jobs" ] -> usage ()
-    | arg :: rest
-      when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" -> (
-      match int_of_string_opt (String.sub arg 7 (String.length arg - 7)) with
-      | Some j when j >= 1 ->
-        jobs := j;
-        parse acc rest
-      | Some _ | None -> usage ())
-    | name :: rest -> parse (name :: acc) rest
-  in
-  let requested =
-    match parse [] (List.tl (Array.to_list Sys.argv)) with
-    | [] -> List.map fst all_sections
-    | names -> names
-  in
-  List.iter
-    (fun name ->
-      if not (List.mem_assoc name all_sections) then begin
-        Printf.eprintf "unknown section %s\n" name;
-        usage ()
-      end)
-    requested;
+let run_bench requested =
+  let requested = if requested = [] then List.map fst all_sections else requested in
   let t0 = Unix.gettimeofday () in
   (* Per-section wall-clock, in run order; machine-readable alongside
      the sweep speedups so the perf trajectory is diffable PR over PR. *)
@@ -1030,3 +997,41 @@ let () =
   Json.to_file "BENCH_results.json" out;
   Printf.printf "\nmachine-readable results written to BENCH_results.json\n";
   Printf.printf "(total bench wall time: %.1f s, jobs: %d)\n" wall_s !jobs
+
+let () =
+  let open Cmdliner in
+  let positive_int =
+    let parse s =
+      match int_of_string_opt s with
+      | Some j when j >= 1 -> Ok j
+      | Some _ | None -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let jobs_arg =
+    Arg.(
+      value & opt positive_int !jobs
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Fan the sweep-backed sections out to $(docv) worker processes. \
+             Results are bit-identical for every $(docv). Defaults to \\$DPU_JOBS \
+             or 1.")
+  in
+  let sections_arg =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun (name, _) -> (name, name)) all_sections)) []
+      & info [] ~docv:"SECTION"
+          ~doc:
+            (Printf.sprintf "Sections to run (default: all): %s."
+               (String.concat ", " (List.map fst all_sections))))
+  in
+  let run j sections =
+    jobs := j;
+    run_bench sections
+  in
+  let info =
+    Cmd.info "main.exe"
+      ~doc:"Regenerate the paper's figures, the ablations and the bench results JSON."
+  in
+  exit (Cmd.eval (Cmd.v info Term.(const run $ jobs_arg $ sections_arg)))

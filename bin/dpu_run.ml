@@ -17,6 +17,7 @@ open Cmdliner
 module E = Dpu_workload.Experiment
 module F = Dpu_workload.Figures
 module Corpus = Dpu_workload.Corpus
+module Run = Dpu_workload.Run
 module Stats = Dpu_engine.Stats
 
 (* ------------------------------------------------------------------ *)
@@ -43,6 +44,16 @@ let jobs_arg =
           "Fan independent experiment cells out to $(docv) worker processes. \
            Results are bit-identical for every $(docv). Defaults to \\$DPU_JOBS \
            or 1.")
+
+(* A spec the run driver rejects (shards < 1, fewer nodes than shards,
+   a bad fault schedule or load rate) is a usage error: one line on
+   stderr and exit 2, before anything runs. *)
+let validate_or_exit spec =
+  match Run.validate spec with
+  | () -> ()
+  | exception Invalid_argument msg ->
+    Printf.eprintf "dpu_run: %s\n" msg;
+    exit 2
 
 let approach_conv =
   let parse s =
@@ -79,13 +90,6 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
           ~rng:(Dpu_engine.Rng.create ~seed)
           ~n ~horizon_ms:duration ?faults:nemesis_faults ()
   in
-  (match Dpu_faults.Schedule.validate ~n faults with
-  | Ok () -> ()
-  | Error msg ->
-    Printf.eprintf "dpu_run: bad fault schedule: %s\n" msg;
-    exit 2);
-  if faults <> [] then
-    Format.printf "fault schedule: %a@." Dpu_faults.Schedule.pp faults;
   let obs_requested = metrics_out <> None || spans_out <> None || csv_out <> None in
   let params =
     {
@@ -108,6 +112,9 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
       log_out;
     }
   in
+  validate_or_exit (E.spec params);
+  if faults <> [] then
+    Format.printf "fault schedule: %a@." Dpu_faults.Schedule.pp faults;
   let r = E.run params in
   Printf.printf "sent %d, delivered everywhere %d, correct nodes {%s}\n" r.E.sent
     r.E.delivered_everywhere
@@ -342,7 +349,7 @@ let shard_cmd =
   let module Sh = Dpu_workload.Shard in
   let shards_arg =
     Arg.(
-      value & opt int Sh.default.shards
+      value & opt int Sh.default.Run.shards
       & info [ "shards" ] ~docv:"S" ~doc:"Number of independent ABcast groups.")
   in
   let n_total =
@@ -353,24 +360,24 @@ let shard_cmd =
   in
   let duration =
     Arg.(
-      value & opt float Sh.default.duration_ms
+      value & opt float Sh.default.Run.until_ms
       & info [ "duration" ] ~docv:"MS" ~doc:"How long the load runs.")
   in
   let warmup =
     Arg.(
-      value & opt float Sh.default.warmup_ms
+      value & opt float Sh.default.Run.warmup_ms
       & info [ "warmup" ] ~docv:"MS"
           ~doc:"Latency samples before this instant are discarded.")
   in
   let drain =
     Arg.(
-      value & opt float Sh.default.drain_ms
+      value & opt float Sh.default.Run.drain_ms
       & info [ "drain" ] ~docv:"MS"
           ~doc:"Extra virtual time after the load stops, for in-flight messages.")
   in
   let msg_size =
     Arg.(
-      value & opt int Sh.default.msg_size
+      value & opt int Sh.default.Run.config.Dpu_core.Middleware.msg_size
       & info [ "msg-size" ] ~docv:"BYTES" ~doc:"Broadcast payload size.")
   in
   let loss =
@@ -398,23 +405,26 @@ let shard_cmd =
   let rolling_to =
     Arg.(
       value
-      & opt string Sh.default_rolling.to_protocol
-      & info [ "rolling-to" ] ~docv:"PROT" ~doc:"ABcast variant to switch to.")
+      & opt (some string) None
+      & info [ "rolling-to" ] ~docv:"PROT"
+          ~doc:"ABcast variant to switch to (default abcast.seq).")
   in
   let rolling_at =
     Arg.(
       value
-      & opt float Sh.default_rolling.start_ms
-      & info [ "rolling-at" ] ~docv:"MS" ~doc:"When the first shard's switch fires.")
+      & opt (some float) None
+      & info [ "rolling-at" ] ~docv:"MS"
+          ~doc:"When the first shard's switch fires (default 200).")
   in
   let stagger =
     Arg.(
       value
-      & opt float Sh.default_rolling.stagger_ms
+      & opt (some float) None
       & info [ "stagger" ] ~docv:"MS"
           ~doc:
-            "Delay between consecutive shards' triggers. Smaller than a switch \
-             window means the windows overlap — that overlap is the point.")
+            "Delay between consecutive shards' triggers (default 0.25). Smaller \
+             than a switch window means the windows overlap — that overlap is \
+             the point.")
   in
   let csv_out =
     Arg.(
@@ -433,30 +443,31 @@ let shard_cmd =
   in
   let run n shards load seed msg_size duration warmup drain loss closed_loop rolling
       rolling_to rolling_at stagger csv_out json_out =
-    let rolling =
-      if rolling then
-        Some { Sh.to_protocol = rolling_to; start_ms = rolling_at; stagger_ms = stagger }
-      else None
-    in
-    let params =
+    let spec =
       {
-        Sh.n;
+        Sh.default with
+        n;
         shards;
-        seed;
-        msg_size;
-        load_per_s = load;
+        config = { Sh.default.Run.config with seed; msg_size; loss };
+        load =
+          (match closed_loop with
+          | Some clients_per_node -> Run.Closed { clients_per_node }
+          | None -> Run.Open { rate_per_s = load; pattern = Dpu_workload.Load_gen.Constant });
+        until_ms = duration;
         warmup_ms = warmup;
-        duration_ms = duration;
         drain_ms = drain;
-        closed_loop;
-        rolling;
-        loss;
       }
     in
-    let r = Sh.run ~params () in
+    let spec =
+      if rolling then
+        Sh.rolling ?to_protocol:rolling_to ?start_ms:rolling_at ?stagger_ms:stagger spec
+      else spec
+    in
+    validate_or_exit spec;
+    let r = Sh.run spec in
     print_string
       (Dpu_workload.Ascii.table ~header:Sh.csv_header (Sh.csv_rows r));
-    if rolling <> None then
+    if rolling then
       Printf.printf "\nmax concurrent in-flight swaps: %d\n" r.Sh.max_concurrent_switches;
     List.iter
       (fun (s : Sh.shard_result) ->
@@ -466,7 +477,7 @@ let shard_cmd =
       r.Sh.per_shard;
     Option.iter
       (fun path ->
-        Sh.write_csv path r;
+        Dpu_obs.Csv.to_file path ~header:Sh.csv_header (Sh.csv_rows r);
         Printf.printf "per-shard CSV written to %s\n" path)
       csv_out;
     Option.iter
@@ -915,7 +926,6 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 
 let corpus only live seed msg_size =
-  let module S = Dpu_workload.Scenario in
   let scenarios =
     match only with
     | None -> Corpus.all
@@ -962,7 +972,7 @@ let corpus only live seed msg_size =
             Dpu_props.Report.all_ok o.Dpu_live.Serve.checks
         end
         else begin
-          let r = S.run_sim ~seed sc in
+          let r = Run.exec (Corpus.spec ~seed sc) in
           List.iter
             (fun (generation, window) ->
               match window with
@@ -970,9 +980,10 @@ let corpus only live seed msg_size =
                 Printf.printf "generation %d installed: %.1f..%.1f ms\n"
                   generation lo hi
               | None -> Printf.printf "generation %d: not installed\n" generation)
-            r.S.switch_windows;
-          Format.printf "%a" Dpu_props.Report.pp_all r.S.reports;
-          S.ok r
+            r.Run.groups.(0).Run.windows;
+          let reports = Run.battery r 0 in
+          Format.printf "%a" Dpu_props.Report.pp_all reports;
+          Dpu_props.Report.all_ok reports
         end
       in
       Printf.printf "%s: %s\n\n" sc.Corpus.name (if ok then "OK" else "FAILED");

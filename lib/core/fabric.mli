@@ -84,6 +84,10 @@ val change_protocol : t -> shard:int -> ?node:int -> string -> unit
 
 val switch_window : t -> shard:int -> generation:int -> (float * float) option
 
+val max_overlap : (float * float) list -> int
+(** Max number of the given [(start, end)] windows that cover one
+    instant (an end and a start at the same instant do not overlap). *)
+
 val max_concurrent_switches : t -> generation:int -> int
 (** Max number of shards whose [generation] switch windows overlap at
     one instant — the headline "how many Algorithm 1 runs were in

@@ -122,10 +122,6 @@ let names () = List.map (fun s -> s.name) all
 
 let find name = List.find_opt (fun s -> s.name = name) all
 
-let correct_nodes t =
-  let down = Schedule.crashed_before t.schedule ~time:infinity in
-  List.filter (fun node -> not (List.mem node down)) (List.init t.n Fun.id)
-
 let validate t =
   match Schedule.validate ~n:t.n t.schedule with
   | Error _ as e -> e
@@ -144,12 +140,33 @@ let validate t =
           else Ok ())
       (Ok ()) t.switches
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s: %d nodes, %g msg/s for %g ms, initial %s@," t.name
-    t.n t.load t.duration_ms t.initial;
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  switch @%g node %d -> %s@," s.sw_at s.sw_node s.sw_to)
-    t.switches;
-  if t.schedule = [] then Format.fprintf ppf "  no faults@]"
-  else Format.fprintf ppf "  faults: %a@]" Schedule.pp t.schedule
+let spec ?(seed = 1) t =
+  (match validate t with
+  | Ok () -> ()
+  | Error msg -> invalid_arg (Printf.sprintf "Corpus.spec %s: %s" t.name msg));
+  let mw = Dpu_core.Middleware.default_config in
+  {
+    Run.n = t.n;
+    shards = 1;
+    config =
+      {
+        mw with
+        seed;
+        profile = { mw.profile with initial_abcast = t.initial };
+        msg_size = 1_024;
+        trace_enabled = false;
+      };
+    register_extra = None;
+    faults = t.schedule;
+    load = Run.Open { rate_per_s = t.load; pattern = Load_gen.Constant };
+    until_ms = t.duration_ms;
+    warmup_ms = 0.0;
+    (* 30 s of virtual grace beyond the drain, so retransmission cycles
+       finish after the last fault window and the battery sees a
+       quiescent run: virtual time is cheap. *)
+    drain_ms = t.drain_ms +. 30_000.0;
+    triggers =
+      List.map
+        (fun s -> { Run.at_ms = s.sw_at; shard = 0; node = s.sw_node; action = Run.Abcast s.sw_to })
+        t.switches;
+  }

@@ -5,8 +5,8 @@
     once in the simulator and once over real UDP sockets — from the
     same values, through the same {!Dpu_faults.Fault_transport} shim —
     with the full atomic-broadcast property battery checked on the
-    merged logs both times. The simulated driver is {!Scenario}; the
-    live driver is [Dpu_live.Serve] via [dpu_run serve --scenario] /
+    merged logs both times. The simulated run is {!spec} executed by
+    {!Run.exec}; the live driver is [Dpu_live.Serve] via [dpu_run serve --scenario] /
     [dpu_run corpus]. *)
 
 type switch = { sw_at : float; sw_node : int; sw_to : string }
@@ -34,11 +34,10 @@ val names : unit -> string list
 
 val find : string -> t option
 
-val correct_nodes : t -> int list
-(** All nodes minus those the schedule crash-silences without
-    recovery — the [~correct] set for the property checkers. *)
-
 val validate : t -> (unit, string) result
 (** The fault schedule and every switch target a node in range. *)
 
-val pp : Format.formatter -> t -> unit
+val spec : ?seed:int -> t -> Run.spec
+(** The scenario as a one-group simulated run (default [seed] 1, 1 KB
+    messages, trace off, 30 s of grace after [drain_ms]). Raises
+    [Invalid_argument] if {!validate} rejects the scenario. *)

@@ -3,7 +3,8 @@ module SB = Dpu_core.Stack_builder
 module Collector = Dpu_core.Collector
 module Stats = Dpu_engine.Stats
 module Series = Dpu_engine.Series
-module Clock = Dpu_runtime.Clock
+module Json = Dpu_obs.Json
+module Log = Dpu_obs.Log
 
 type approach =
   | No_layer
@@ -72,6 +73,7 @@ let default =
 
 type result = {
   params : params;
+  run : Run.result;
   latency : Series.t;
   normal : Stats.t;
   during : Stats.t;
@@ -136,41 +138,7 @@ let preflight params =
     ~registry:(Dpu_kernel.System.registry system)
     ~updates ~consensus_updates profile
 
-let run params =
-  (let reports = preflight params in
-   if not (Dpu_props.Report.all_ok reports) then raise (Preflight_failure reports));
-  let profile = profile_of params in
-  let config =
-    {
-      MW.default_config with
-      seed = params.seed;
-      loss = params.loss;
-      hop_cost = params.hop_cost;
-      profile;
-      trace_enabled = params.trace_enabled;
-      metrics_enabled = params.metrics_enabled;
-      msg_size = params.msg_size;
-    }
-  in
-  let mw = MW.create ~config ~register_extra ~faults:params.faults ~n:params.n () in
-  let system = MW.system mw in
-  let clock = Dpu_kernel.System.clock system in
-  (* The structured log is stamped on the VIRTUAL clock: with the same
-     params the emitted JSONL bytes are a pure function of the run —
-     the determinism tests diff two runs' files verbatim. *)
-  let log, close_log =
-    match params.log_out with
-    | None -> (Dpu_obs.Log.noop, fun () -> ())
-    | Some path -> Dpu_obs.Log.to_file ~clock:(fun () -> Clock.now clock) path
-  in
-  Dpu_obs.Log.info log
-    ~fields:
-      [ ("n", Dpu_obs.Json.Int params.n);
-        ("seed", Dpu_obs.Json.Int params.seed);
-        ("load", Dpu_obs.Json.Float params.load);
-        ("approach", Dpu_obs.Json.Str (approach_name params.approach));
-        ("initial", Dpu_obs.Json.Str params.initial) ]
-    "experiment start";
+let spec params =
   (* The fault shim silences a crashed node's network endpoint; in the
      full-stack harness a scheduled [Crash] is also fail-stop for its
      stack. The process model has no rejoin, so a later [Recover] only
@@ -183,61 +151,94 @@ let run params =
         | _ -> None)
       params.faults
   in
-  List.iter
-    (fun (time, node) ->
-      Clock.defer clock ~delay:time (fun () ->
-          Dpu_obs.Log.warn log
-            ~fields:[ ("node", Dpu_obs.Json.Int node) ]
-            "crash";
-          MW.crash mw node))
-    crashes;
-  Load_gen.start mw ~rate_per_s:params.load ~pattern:params.pattern
-    ~size:params.msg_size ~until:params.duration_ms ();
-  let switch_requested =
+  let trigger ~at_ms ~node action = { Run.at_ms; shard = 0; node; action } in
+  let switch =
     match (params.switch_to, layer_of params.approach) with
     | Some protocol, Some _ ->
       (* "any process triggers the replacement" (§6.2) — pick one that
          is still alive at the switch time. *)
-      let trigger_node =
-        let crashed_by_then =
-          List.filter_map
-            (fun (t, node) -> if t <= params.switch_at_ms then Some node else None)
-            crashes
-        in
-        let rec pick node =
-          if node < 0 then 0
-          else if List.mem node crashed_by_then then pick (node - 1)
-          else node
-        in
-        pick (params.n - 1)
+      let crashed_by_then =
+        List.filter_map
+          (fun (t, node) -> if t <= params.switch_at_ms then Some node else None)
+          crashes
       in
-      Clock.defer clock ~delay:params.switch_at_ms (fun () ->
-          Dpu_obs.Log.info log
-            ~fields:
-              [ ("node", Dpu_obs.Json.Int trigger_node);
-                ("target", Dpu_obs.Json.Str protocol) ]
-            "switch trigger";
-          MW.change_protocol mw ~node:trigger_node protocol);
-      true
-    | Some _, None | None, _ -> false
+      let rec pick node =
+        if node < 0 then 0 else if List.mem node crashed_by_then then pick (node - 1) else node
+      in
+      [ trigger ~at_ms:params.switch_at_ms ~node:(pick (params.n - 1)) (Run.Abcast protocol) ]
+    | Some _, None | None, _ -> []
   in
-  (match params.switch_consensus with
-  | Some (time, protocol) ->
-    Clock.defer clock ~delay:time (fun () ->
-        Dpu_obs.Log.info log
-          ~fields:[ ("target", Dpu_obs.Json.Str protocol) ]
-          "consensus switch trigger";
-        MW.change_consensus mw ~node:0 protocol)
-  | None -> ());
-  MW.run_until_quiescent ~limit:(params.duration_ms +. 120_000.0) mw;
-  let collector = MW.collector mw in
+  let consensus =
+    match params.switch_consensus with
+    | Some (at_ms, protocol) -> [ trigger ~at_ms ~node:0 (Run.Consensus protocol) ]
+    | None -> []
+  in
+  {
+    Run.n = params.n;
+    shards = 1;
+    config =
+      {
+        MW.default_config with
+        seed = params.seed;
+        loss = params.loss;
+        hop_cost = params.hop_cost;
+        profile = profile_of params;
+        trace_enabled = params.trace_enabled;
+        metrics_enabled = params.metrics_enabled;
+        msg_size = params.msg_size;
+      };
+    register_extra = Some register_extra;
+    faults = params.faults;
+    load = Run.Open { rate_per_s = params.load; pattern = params.pattern };
+    until_ms = params.duration_ms;
+    warmup_ms = params.warmup_ms;
+    drain_ms = 120_000.0;
+    triggers =
+      List.map (fun (at_ms, node) -> trigger ~at_ms ~node Run.Crash) crashes
+      @ switch @ consensus;
+  }
+
+let log_trigger log (t : Run.trigger) =
+  match t.action with
+  | Run.Crash -> Log.warn log "crash" ~fields:[ ("node", Json.Int t.node) ]
+  | Run.Abcast p ->
+    Log.info log "switch trigger" ~fields:[ ("node", Json.Int t.node); ("target", Json.Str p) ]
+  | Run.Consensus p -> Log.info log "consensus switch trigger" ~fields:[ ("target", Json.Str p) ]
+
+let run params =
+  let spec = spec params in
+  Run.validate spec;
+  (let reports = preflight params in
+   if not (Dpu_props.Report.all_ok reports) then raise (Preflight_failure reports));
+  (* The structured log is stamped on the VIRTUAL clock — at time 0, at
+     each trigger and at the end — so with the same params the JSONL
+     bytes are a pure function of the run: the determinism tests diff
+     two runs' files verbatim. *)
+  let now = ref 0.0 in
+  let log, close_log =
+    match params.log_out with
+    | None -> (Log.noop, fun () -> ())
+    | Some path -> Log.to_file ~clock:(fun () -> !now) path
+  in
+  Log.info log "experiment start"
+    ~fields:
+      [ ("n", Json.Int params.n); ("seed", Json.Int params.seed);
+        ("load", Json.Float params.load);
+        ("approach", Json.Str (approach_name params.approach));
+        ("initial", Json.Str params.initial) ];
+  let run =
+    Run.exec spec ~on_trigger:(fun t ->
+        now := t.Run.at_ms;
+        log_trigger log t)
+  in
+  now := run.Run.end_ms;
+  let g = run.Run.groups.(0) in
+  let collector = g.Run.collector in
   let latency = Collector.latency_series collector in
   let switch_window =
-    if switch_requested then
-      match Collector.switch_window collector ~generation:1 with
-      | Some (_first, last) -> Some (params.switch_at_ms, last)
-      | None -> None
-    else None
+    match g.Run.windows with
+    | (_, Some (_first, last)) :: _ -> Some (params.switch_at_ms, last)
+    | (_, None) :: _ | [] -> None
   in
   (* Messages sent up to [during_margin_ms] after the last stack
      switched are still attributed to the replacement: the fresh
@@ -257,58 +258,35 @@ let run params =
         | Some (lo, hi) when p.time >= lo && p.time <= hi -> Stats.add during p.value
         | Some _ | None -> Stats.add normal p.value)
     (Series.points latency);
-  let correct = Dpu_kernel.System.correct_nodes (MW.system mw) in
-  let blocked_ms =
-    Array.fold_left
-      (fun acc stack -> Float.max acc (Dpu_baselines.Maestro.blocked_ms stack))
-      0.0
-      (Dpu_kernel.System.stacks (MW.system mw))
-  in
   let sent = Collector.send_count collector in
-  let undelivered =
-    Collector.undelivered_ids collector ~expected_copies:(List.length correct)
-  in
-  Dpu_obs.Log.info log
+  let delivered_everywhere = sent - g.Run.undelivered in
+  Log.info log "experiment done"
     ~fields:
-      ([ ("sent", Dpu_obs.Json.Int sent);
-         ("delivered_everywhere", Dpu_obs.Json.Int (sent - List.length undelivered))
-       ]
-      @
-      match switch_window with
-      | Some (lo, hi) ->
-        [ ("switch_from_ms", Dpu_obs.Json.Float lo);
-          ("switch_to_ms", Dpu_obs.Json.Float hi) ]
-      | None -> [])
-    "experiment done";
+      (("sent", Json.Int sent)
+      :: ("delivered_everywhere", Json.Int delivered_everywhere)
+      ::
+      (match switch_window with
+      | Some (lo, hi) -> [ ("switch_from_ms", Json.Float lo); ("switch_to_ms", Json.Float hi) ]
+      | None -> []));
   close_log ();
+  let system = MW.system g.Run.mw in
   {
     params;
+    run;
     latency;
     normal;
     during;
     switch_window;
     switch_duration_ms =
       (match switch_window with Some (lo, hi) -> hi -. lo | None -> 0.0);
-    blocked_ms;
+    blocked_ms = g.Run.blocked_ms;
     sent;
-    delivered_everywhere = sent - List.length undelivered;
+    delivered_everywhere;
     collector;
-    trace = Dpu_kernel.System.trace (MW.system mw);
-    metrics = MW.metrics mw;
-    fault_stats = Dpu_kernel.System.fault_stats (MW.system mw);
-    correct;
+    trace = Dpu_kernel.System.trace system;
+    metrics = MW.metrics g.Run.mw;
+    fault_stats = Dpu_kernel.System.fault_stats system;
+    correct = g.Run.correct;
   }
 
-let check result =
-  let abcast = Dpu_props.Abcast_props.check_all result.collector ~correct:result.correct in
-  let nodes = List.init result.params.n (fun i -> i) in
-  let protocols =
-    result.params.initial
-    :: (match result.params.switch_to with Some p when p <> result.params.initial -> [ p ] | Some _ | None -> [])
-  in
-  let generic =
-    if Dpu_kernel.Trace.enabled result.trace then
-      Dpu_props.Stack_props.check_generic result.trace ~protocols ~nodes
-    else []
-  in
-  abcast @ generic
+let check result = Run.battery result.run 0

@@ -75,6 +75,7 @@ val default : params
 
 type result = {
   params : params;
+  run : Run.result;  (** the underlying run, one group *)
   latency : Series.t;  (** avg latency per message, keyed by send time *)
   normal : Stats.t;  (** messages sent outside the replacement window *)
   during : Stats.t;  (** messages sent inside it *)
@@ -106,10 +107,19 @@ val preflight : params -> Dpu_props.Report.t list
     acyclicity, unique bindings and update-plan safety for the planned
     [switch_to] / [switch_consensus] swaps. No simulation happens. *)
 
+val spec : params -> Run.spec
+(** The run [params] describe: one group, the load until
+    [duration_ms] and 120 s of drain, every schedule [Crash] also a
+    fail-stop [Crash] trigger, then the ABcast switch (from the highest
+    node still alive at [switch_at_ms]) and the consensus switch (from
+    node 0). *)
+
 val run : params -> result
-(** Raises [Invalid_argument] if [params.faults] fails
-    {!Dpu_faults.Schedule.validate}, and {!Preflight_failure} if the
-    static composition verifier rejects the configuration. *)
+(** [Run.exec (spec params)] split into normal and during-switch
+    statistics. Raises [Invalid_argument] if {!Run.validate} rejects
+    [spec params], and {!Preflight_failure} if the static composition
+    verifier rejects the configuration. *)
 
 val check : result -> Dpu_props.Report.t list
-(** All ABcast properties plus the generic §3 properties for the run. *)
+(** All ABcast properties plus the generic §3 properties for the run
+    ({!Run.battery}). *)

@@ -1,49 +1,35 @@
-module Fabric = Dpu_core.Fabric
 module MW = Dpu_core.Middleware
-module Collector = Dpu_core.Collector
 module Series = Dpu_engine.Series
 module Stats = Dpu_engine.Stats
 module Json = Dpu_obs.Json
-module Clock = Dpu_runtime.Clock
-module System = Dpu_kernel.System
-
-type rolling = {
-  to_protocol : string;
-  start_ms : float;
-  stagger_ms : float;
-}
-
-let default_rolling =
-  { to_protocol = Dpu_core.Variants.sequencer; start_ms = 200.0; stagger_ms = 0.25 }
-
-type params = {
-  n : int;
-  shards : int;
-  seed : int;
-  msg_size : int;
-  load_per_s : float;
-  warmup_ms : float;
-  duration_ms : float;
-  drain_ms : float;
-  closed_loop : int option;
-  rolling : rolling option;
-  loss : float;
-}
 
 let default =
   {
-    n = 15;
+    Run.n = 15;
     shards = 4;
-    seed = 1;
-    msg_size = 512;
-    load_per_s = 200.0;
+    config = { MW.default_config with seed = 1; msg_size = 512 };
+    register_extra = None;
+    faults = [];
+    load = Run.Open { rate_per_s = 200.0; pattern = Load_gen.Constant };
+    until_ms = 2_000.0;
     warmup_ms = 200.0;
-    duration_ms = 2_000.0;
     drain_ms = 3_000.0;
-    closed_loop = None;
-    rolling = None;
-    loss = 0.0;
+    triggers = [];
   }
+
+(* Each shard's trigger fires on its own group clock, [stagger_ms]
+   after the previous shard's. *)
+let rolling ?(to_protocol = Dpu_core.Variants.sequencer) ?(start_ms = 200.0)
+    ?(stagger_ms = 0.25) (spec : Run.spec) =
+  let trigger shard =
+    {
+      Run.at_ms = start_ms +. (stagger_ms *. float_of_int shard);
+      shard;
+      node = 0;
+      action = Run.Abcast to_protocol;
+    }
+  in
+  { spec with triggers = spec.triggers @ List.init spec.shards trigger }
 
 type shard_result = {
   shard : int;
@@ -64,118 +50,55 @@ type shard_result = {
 }
 
 type result = {
-  params : params;
+  spec : Run.spec;
   per_shard : shard_result list;
   max_concurrent_switches : int;
   drained_at_ms : float;
   all_ok : bool;
 }
 
-let make_fabric p =
-  let config =
-    { MW.default_config with seed = p.seed; msg_size = p.msg_size; loss = p.loss }
-  in
-  Fabric.create ~config ~shards:p.shards ~n:p.n ()
-
-(* Offered load splits by shard size, so every node system-wide carries
-   the same per-node rate however the block split rounded. *)
-let start_load p fabric =
-  Fabric.iter_groups fabric (fun g mw ->
-      match p.closed_loop with
-      | Some k ->
-        Load_gen.closed_loop mw ~clients_per_node:k ~size:p.msg_size
-          ~until:p.duration_ms ()
-      | None ->
-        let rate =
-          p.load_per_s *. float_of_int (Fabric.group_size fabric g) /. float_of_int p.n
-        in
-        Load_gen.start mw ~rate_per_s:rate ~pattern:Load_gen.Constant
-          ~size:p.msg_size ~until:p.duration_ms ())
-
-(* Each shard's trigger is deferred on its own group clock, so the
-   rolling wave is part of the same deterministic schedule as the
-   load. *)
-let start_rolling fabric (r : rolling) =
-  Fabric.iter_groups fabric (fun g mw ->
-      let clock = System.clock (MW.system mw) in
-      let at = r.start_ms +. (r.stagger_ms *. float_of_int g) in
-      Clock.defer clock ~delay:at (fun () ->
-          MW.change_protocol mw ~node:0 r.to_protocol))
-
-let shard_result_of p fabric g =
-  let mw = Fabric.group fabric g in
-  let nodes = Fabric.group_size fabric g in
-  let collector = MW.collector mw in
+let shard_result_of (r : Run.result) g =
+  let grp = r.groups.(g) in
   (* Exact quantiles over the raw post-warmup samples, as
      {!Throughput} computes them. *)
-  let lat = Series.stats_between (MW.latency_series mw) ~lo:p.warmup_ms ~hi:infinity in
+  let lat =
+    Series.stats_between (MW.latency_series grp.mw) ~lo:r.spec.warmup_ms ~hi:infinity
+  in
   let measured = Stats.count lat in
   let pct q = if measured = 0 then 0.0 else Stats.percentile lat q in
-  let generation = Fabric.generation fabric ~shard:g in
-  let window =
-    if generation = 0 then None
-    else Fabric.switch_window fabric ~shard:g ~generation
-  in
-  let blocked_ms =
-    Array.fold_left
-      (fun acc stack -> Float.max acc (Dpu_baselines.Maestro.blocked_ms stack))
-      0.0
-      (System.stacks (MW.system mw))
-  in
-  let undelivered =
-    List.length (Collector.undelivered_ids collector ~expected_copies:nodes)
-  in
-  let reports =
-    Dpu_props.Abcast_props.check_all collector ~correct:(List.init nodes Fun.id)
-  in
-  let violations =
-    List.concat_map (fun (r : Dpu_props.Report.t) -> r.violations) reports
-  in
+  let reports = Run.battery r g in
   {
     shard = g;
-    nodes;
-    sent = Collector.send_count collector;
-    delivered = List.length (Collector.delivers_of collector ~node:0);
+    nodes = MW.n grp.mw;
+    sent = Dpu_core.Collector.send_count grp.collector;
+    delivered = List.length (Dpu_core.Collector.delivers_of grp.collector ~node:0);
     measured;
     p50_ms = pct 50.0;
     p99_ms = pct 99.0;
     p999_ms = pct 99.9;
     mean_ms = (if measured = 0 then 0.0 else Stats.mean lat);
-    generation;
-    window;
-    blocked_ms;
-    undelivered;
+    generation = grp.generation;
+    window = Option.join (List.assoc_opt grp.generation grp.windows);
+    blocked_ms = grp.blocked_ms;
+    undelivered = grp.undelivered;
     props_ok = Dpu_props.Report.all_ok reports;
-    violations;
+    violations = List.concat_map (fun (r : Dpu_props.Report.t) -> r.violations) reports;
   }
 
-let run ?(params = default) () =
-  let p = params in
-  let fabric = make_fabric p in
-  start_load p fabric;
-  Option.iter (start_rolling fabric) p.rolling;
-  (* The stacks' periodic timers (failure-detector beats every 20 ms on
-     every node) never stop, so "quiescent" is really the drain horizon:
-     long enough for every in-flight message to come out, short enough
-     that 63 nodes' worth of idle heartbeats stays cheap. *)
-  Fabric.run_until_quiescent ~limit:(p.duration_ms +. p.drain_ms) fabric;
-  let drained_at_ms = Fabric.now fabric in
-  let per_shard = List.init p.shards (shard_result_of p fabric) in
-  let max_concurrent_switches =
-    match p.rolling with
-    | None -> 0
-    | Some _ -> Fabric.max_concurrent_switches fabric ~generation:1
-  in
+let run spec =
+  let r = Run.exec spec in
+  let per_shard = List.init spec.Run.shards (shard_result_of r) in
+  (* A shard is OK when its battery holds, nothing is undelivered or
+     blocked, and a requested switch completed. *)
   let shard_ok s =
-    s.props_ok && s.undelivered = 0
-    && s.blocked_ms = 0.0
-    && (p.rolling = None || s.generation >= 1)
+    s.props_ok && s.undelivered = 0 && s.blocked_ms = 0.0
+    && (r.groups.(s.shard).windows = [] || s.generation >= 1)
   in
   {
-    params = p;
+    spec;
     per_shard;
-    max_concurrent_switches;
-    drained_at_ms;
+    max_concurrent_switches = Run.max_concurrent_switches r;
+    drained_at_ms = r.end_ms;
     all_ok = List.for_all shard_ok per_shard;
   }
 
@@ -186,59 +109,42 @@ let csv_header =
     "blocked_ms"; "undelivered"; "props_ok";
   ]
 
-let csv_rows result =
-  List.map
-    (fun s ->
-      let w_lo, w_hi = match s.window with Some (a, b) -> (a, b) | None -> (nan, nan) in
-      [
-        string_of_int s.shard;
-        string_of_int s.nodes;
-        string_of_int s.sent;
-        string_of_int s.delivered;
-        string_of_int s.measured;
-        Printf.sprintf "%.3f" s.p50_ms;
-        Printf.sprintf "%.3f" s.p99_ms;
-        Printf.sprintf "%.3f" s.p999_ms;
-        Printf.sprintf "%.3f" s.mean_ms;
-        string_of_int s.generation;
-        Printf.sprintf "%.3f" w_lo;
-        Printf.sprintf "%.3f" w_hi;
-        Printf.sprintf "%.3f" s.blocked_ms;
-        string_of_int s.undelivered;
-        string_of_bool s.props_ok;
-      ])
-    result.per_shard
+(* One shard's row in [csv_header] order; a missing window is NaN. *)
+let columns s =
+  let lo, hi = match s.window with Some w -> w | None -> (nan, nan) in
+  Json.
+    [
+      Int s.shard; Int s.nodes; Int s.sent; Int s.delivered; Int s.measured;
+      Float s.p50_ms; Float s.p99_ms; Float s.p999_ms; Float s.mean_ms;
+      Int s.generation; Float lo; Float hi; Float s.blocked_ms; Int s.undelivered;
+      Bool s.props_ok;
+    ]
 
-let write_csv path result = Dpu_obs.Csv.to_file path ~header:csv_header (csv_rows result)
+let csv_rows result =
+  let cell = function Json.Float f -> Printf.sprintf "%.3f" f | v -> Json.to_string v in
+  List.map (fun s -> List.map cell (columns s)) result.per_shard
 
 let json_of_shard s =
+  let keep (key, _) =
+    s.window <> None || (key <> "window_start_ms" && key <> "window_end_ms")
+  in
   Json.Obj
-    ([
-       ("shard", Json.Int s.shard);
-       ("nodes", Json.Int s.nodes);
-       ("sent", Json.Int s.sent);
-       ("delivered", Json.Int s.delivered);
-       ("measured", Json.Int s.measured);
-       ("p50_ms", Json.Float s.p50_ms);
-       ("p99_ms", Json.Float s.p99_ms);
-       ("p999_ms", Json.Float s.p999_ms);
-       ("mean_ms", Json.Float s.mean_ms);
-       ("generation", Json.Int s.generation);
-       ("blocked_ms", Json.Float s.blocked_ms);
-       ("undelivered", Json.Int s.undelivered);
-       ("props_ok", Json.Bool s.props_ok);
-     ]
-    @ (match s.window with
-      | None -> []
-      | Some (lo, hi) ->
-        [ ("window_start_ms", Json.Float lo); ("window_end_ms", Json.Float hi) ])
+    (List.filter keep (List.combine csv_header (columns s))
     @
     match s.violations with
     | [] -> []
     | v -> [ ("violations", Json.List (List.map (fun x -> Json.Str x) v)) ])
 
+(* Protocol names carry their service prefix (abcast.seq,
+   consensus.paxos), so the target alone names the action. *)
+let json_of_trigger (t : Run.trigger) =
+  let action = match t.action with Run.Abcast p | Run.Consensus p -> p | Run.Crash -> "crash" in
+  Json.Obj
+    [ ("at_ms", Json.Float t.at_ms); ("shard", Json.Int t.shard);
+      ("node", Json.Int t.node); ("action", Json.Str action) ]
+
 let to_json result =
-  let p = result.params in
+  let p = result.spec in
   Json.Obj
     [
       ( "params",
@@ -246,29 +152,18 @@ let to_json result =
           ([
              ("n", Json.Int p.n);
              ("shards", Json.Int p.shards);
-             ("seed", Json.Int p.seed);
-             ("msg_size", Json.Int p.msg_size);
-             ("load_per_s", Json.Float p.load_per_s);
+             ("seed", Json.Int p.config.MW.seed);
+             ("msg_size", Json.Int p.config.MW.msg_size);
+             ("loss", Json.Float p.config.MW.loss);
              ("warmup_ms", Json.Float p.warmup_ms);
-             ("duration_ms", Json.Float p.duration_ms);
-             ("loss", Json.Float p.loss);
+             ("duration_ms", Json.Float p.until_ms);
+             ("drain_ms", Json.Float p.drain_ms);
            ]
-          @ (match p.closed_loop with
-            | None -> []
-            | Some k -> [ ("closed_loop_clients", Json.Int k) ])
-          @
-          match p.rolling with
-          | None -> []
-          | Some r ->
-            [
-              ( "rolling",
-                Json.Obj
-                  [
-                    ("to_protocol", Json.Str r.to_protocol);
-                    ("start_ms", Json.Float r.start_ms);
-                    ("stagger_ms", Json.Float r.stagger_ms);
-                  ] );
-            ]) );
+          @ (match p.load with
+            | Run.Open { rate_per_s; _ } -> [ ("load_per_s", Json.Float rate_per_s) ]
+            | Run.Closed { clients_per_node } ->
+              [ ("closed_loop_clients", Json.Int clients_per_node) ])
+          @ [ ("triggers", Json.List (List.map json_of_trigger p.triggers)) ]) );
       ("shards", Json.List (List.map json_of_shard result.per_shard));
       ("max_concurrent_switches", Json.Int result.max_concurrent_switches);
       ("drained_at_ms", Json.Float result.drained_at_ms);

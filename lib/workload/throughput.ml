@@ -19,31 +19,27 @@ type curve = {
   saturated_per_s : float;
 }
 
-type params = {
-  n : int;
-  seed : int;
-  msg_size : int;
-  warmup_ms : float;
-  duration_ms : float;
-  batching : Dpu_protocols.Batcher.config option;
-}
-
 let default =
   {
-    n = 3;
-    seed = 1;
-    msg_size = 512;
+    Run.n = 3;
+    shards = 1;
+    config = { MW.default_config with seed = 1; msg_size = 512 };
+    register_extra = None;
+    faults = [];
+    load = Run.Closed { clients_per_node = 4 };
+    until_ms = 3_000.0;
     warmup_ms = 500.0;
-    duration_ms = 3_000.0;
-    batching = None;
+    (* Generous: past the knee the backlog takes long to drain. *)
+    drain_ms = 600_000.0;
+    triggers = [];
   }
 
-let make_mw p =
-  let profile = { SB.default_profile with batching = p.batching } in
-  let config =
-    { MW.default_config with profile; seed = p.seed; msg_size = p.msg_size }
-  in
-  MW.create ~config ~n:p.n ()
+let with_batching batching (spec : Run.spec) =
+  {
+    spec with
+    config =
+      { spec.config with profile = { spec.config.MW.profile with SB.batching } };
+  }
 
 (* Throughput is deliveries inside the measurement window, not
    deliveries ever: the run drains to quiescence afterwards, so under
@@ -53,8 +49,9 @@ let make_mw p =
    Latency percentiles come from the same window, keyed by send time;
    messages sent in-window but delivered after it still contribute
    their (large) latency, which is exactly the queueing signal. *)
-let window_stats p mw =
-  let lo = p.warmup_ms and hi = p.duration_ms in
+let point_of ~offered (spec : Run.spec) =
+  let mw = (Run.exec spec).Run.groups.(0).Run.mw in
+  let lo = spec.warmup_ms and hi = spec.until_ms in
   let delivered =
     List.length
       (List.filter
@@ -62,25 +59,23 @@ let window_stats p mw =
          (Collector.delivers_of (MW.collector mw) ~node:0))
   in
   let lat = Series.stats_between (MW.latency_series mw) ~lo ~hi in
-  let window_s = (hi -. lo) /. 1000.0 in
-  (float_of_int delivered /. window_s, lat)
-
-let point_of p ~offered mw =
-  let delivered_per_s, lat = window_stats p mw in
+  let delivered_per_s = float_of_int delivered /. ((hi -. lo) /. 1000.0) in
+  let pct q = if Stats.count lat = 0 then 0.0 else Stats.percentile lat q in
   {
-    offered;
+    offered = (match offered with Some o -> o | None -> delivered_per_s);
     delivered_per_s;
-    p50_ms = (if Stats.count lat = 0 then 0.0 else Stats.percentile lat 50.0);
-    p99_ms = (if Stats.count lat = 0 then 0.0 else Stats.percentile lat 99.0);
+    p50_ms = pct 50.0;
+    p99_ms = pct 99.0;
     measured = Stats.count lat;
   }
 
-let measure p ~offered =
-  let mw = make_mw p in
-  Load_gen.start mw ~rate_per_s:offered ~pattern:Load_gen.Constant
-    ~size:p.msg_size ~until:p.duration_ms ();
-  MW.run_until_quiescent ~limit:(p.duration_ms +. 600_000.0) mw;
-  point_of p ~offered mw
+let measure spec ~offered =
+  point_of ~offered:(Some offered)
+    { spec with Run.load = Run.Open { rate_per_s = offered; pattern = Load_gen.Constant } }
+
+(* A closed loop offers exactly what it sustains. *)
+let saturate ?(clients_per_node = 4) spec =
+  point_of ~offered:None { spec with Run.load = Run.Closed { clients_per_node } }
 
 (* The knee is the last offered load the stack still kept up with
    (delivered within 10% of offered); past it the delivered rate
@@ -98,19 +93,6 @@ let curve_of ~batching points =
     List.fold_left (fun acc pt -> Float.max acc pt.delivered_per_s) 0.0 points
   in
   { batching; points; knee; saturated_per_s }
-
-let sweep ?(params = default) ~loads () =
-  curve_of ~batching:params.batching
-    (List.map (fun offered -> measure params ~offered) loads)
-
-let saturate ?(params = default) ?(clients_per_node = 4) () =
-  let p = params in
-  let mw = make_mw p in
-  Load_gen.closed_loop mw ~clients_per_node ~size:p.msg_size ~until:p.duration_ms ();
-  MW.run_until_quiescent ~limit:(p.duration_ms +. 600_000.0) mw;
-  (* A closed loop offers exactly what it sustains. *)
-  let pt = point_of p ~offered:0.0 mw in
-  { pt with offered = pt.delivered_per_s }
 
 let batching_label = function
   | None -> "off"

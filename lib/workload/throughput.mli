@@ -3,9 +3,8 @@
     The paper's evaluation is latency-centric; this module adds the
     throughput axis for the batched ordering path. Two drivers:
 
-    - {!sweep} is {b open loop}: a fixed offered rate per step (via
-      {!Load_gen.start}), measuring the delivered rate inside a
-      steady-state window. Past the saturation knee the delivered rate
+    - {!measure} is {b open loop}: a fixed offered rate per step,
+      measuring the delivered rate inside a steady-state window. Past the saturation knee the delivered rate
       plateaus at the stack's service capacity while latency grows with
       the backlog — the classic saturation curve.
     - {!saturate} is {b closed loop}: a fixed number of clients per
@@ -13,9 +12,9 @@
       back delivered. No offered-rate parameter to guess; the loop
       settles at the sustainable throughput by construction.
 
-    Both run the full default stack (CT ABcast over consensus, under
-    the Repl layer) on the simulator, so results are deterministic for
-    a given seed; [batching] turns the protocol-level batch aggregation
+    Both execute a {!Run.spec} ({!default}: the full default stack, CT
+    ABcast over consensus under the Repl layer) on the simulator, so
+    results are deterministic for a given seed; {!with_batching} turns the protocol-level batch aggregation
     of {!Dpu_protocols.Batcher} on, which is the mechanism under test:
     one consensus round then orders up to [max_batch] messages. *)
 
@@ -37,40 +36,28 @@ type curve = {
   saturated_per_s : float;  (** best delivered rate seen on the curve *)
 }
 
-type params = {
-  n : int;
-  seed : int;
-  msg_size : int;
-  warmup_ms : float;  (** excluded from the measurement window *)
-  duration_ms : float;  (** load stops here; the run drains afterwards *)
-  batching : Dpu_protocols.Batcher.config option;
-}
+val default : Run.spec
+(** n=3, seed=1, 512-byte payloads, 500 ms warmup, 3 s of load, a
+    600 s drain, no batching. {!measure} and {!saturate} replace its
+    load. *)
 
-val default : params
-(** n=3, seed=1, 512-byte payloads, 500 ms warmup, 3 s of load, no
-    batching. *)
+val with_batching : Dpu_protocols.Batcher.config option -> Run.spec -> Run.spec
+(** The spec with ordering-path batching set in its stack profile. *)
 
-val measure : params -> offered:float -> point
-(** One open-loop step at a fixed offered rate. *)
+val measure : Run.spec -> offered:float -> point
+(** One open-loop step: constant load at [offered] msg/s. *)
+
+val saturate : ?clients_per_node:int -> Run.spec -> point
+(** Closed-loop driver: [clients_per_node] (default 4) outstanding
+    messages per node, re-issued on own delivery after a small think
+    time. *)
 
 val curve_of :
   batching:Dpu_protocols.Batcher.config option -> point list -> curve
 (** Knee detection and saturation over already-measured points (e.g.
     when the steps were fanned out to a {!Sweep}). *)
 
-val sweep : ?params:params -> loads:float list -> unit -> curve
-(** One open-loop step per offered load, same parameters throughout. *)
-
-val saturate : ?params:params -> ?clients_per_node:int -> unit -> point
-(** Closed-loop driver: [clients_per_node] (default 4) outstanding
-    messages per node, re-issued on own delivery after a small think
-    time. *)
-
 val batching_label : Dpu_protocols.Batcher.config option -> string
-
-val csv_header : string list
-
-val csv_rows : curve list -> string list list
 
 val write_csv : string -> curve list -> unit
 (** The saturation curves as CSV (one row per point), for the CI

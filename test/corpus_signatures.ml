@@ -9,6 +9,8 @@ module W = Dpu_workload
 let () =
   List.iter
     (fun (sc : W.Corpus.t) ->
-      let signature = W.Scenario.signature (W.Scenario.run_sim ~seed:3 sc) in
+      let signature =
+        W.Run.signature ~name:sc.W.Corpus.name (W.Run.exec (W.Corpus.spec ~seed:3 sc))
+      in
       Printf.printf "%s %s\n" sc.W.Corpus.name (Digest.to_hex (Digest.string signature)))
     W.Corpus.all

@@ -16,7 +16,8 @@ module RT = Dpu_runtime.Transport
 module Runtime = Dpu_runtime.Runtime
 module Corpus = Dpu_workload.Corpus
 module System = Dpu_kernel.System
-module Scenario = Dpu_workload.Scenario
+module Run = Dpu_workload.Run
+module Shard = Dpu_workload.Shard
 module E = Dpu_workload.Experiment
 
 let check = Alcotest.check
@@ -372,39 +373,72 @@ let test_corpus_scenarios_hold_properties () =
   List.iter
     (fun (sc : Corpus.t) ->
       let what = sc.Corpus.name in
-      let r = Scenario.run_sim ~seed:1 sc in
-      check Alcotest.bool (what ^ ": traffic flowed") true (r.Scenario.sent > 20);
+      let r = Run.exec (Corpus.spec ~seed:1 sc) in
+      let g = r.Run.groups.(0) in
+      check Alcotest.bool (what ^ ": traffic flowed") true
+        (Dpu_core.Collector.send_count g.Run.collector > 20);
       check Alcotest.bool (what ^ ": full §5.1 battery holds") true
-        (Scenario.ok r);
+        (Dpu_props.Report.all_ok (Run.battery r 0));
       match what with
       | "racing-replacements" -> (
         (* Two changes race through generation 0; total order picks one
            winner and the loser is dropped as stale. *)
-        match r.Scenario.switch_windows with
+        match g.Run.windows with
         | [ (1, Some _); (2, None) ] -> ()
         | _ -> fail "racing: expected exactly the first-ordered change to win")
       | "coordinator-crash-mid-switch" ->
         check (Alcotest.list Alcotest.int) "crashed coordinator excluded"
-          [ 0; 1; 3; 4 ] r.Scenario.correct;
-        expect_installed ~what r.Scenario.switch_windows
+          [ 0; 1; 3; 4 ] g.Run.correct;
+        expect_installed ~what g.Run.windows
       | "replacement-under-partition" ->
         check Alcotest.bool "the partition actually bit" true
-          (r.Scenario.faults.FT.blocked_partition > 0);
-        expect_installed ~what r.Scenario.switch_windows
-      | _ -> expect_installed ~what r.Scenario.switch_windows)
+          ((System.fault_stats (Dpu_core.Middleware.system g.Run.mw)).FT.blocked_partition
+          > 0);
+        expect_installed ~what g.Run.windows
+      | _ -> expect_installed ~what g.Run.windows)
     Corpus.all
 
+(* Every run is a [Run.spec]: executing one twice must give
+   byte-identical signatures, and a different seed a different one. *)
 let test_corpus_replay_deterministic () =
   let sc =
     match Corpus.find "replacement-under-partition" with
     | Some sc -> sc
     | None -> fail "scenario missing"
   in
-  let s1 = Scenario.signature (Scenario.run_sim ~seed:3 sc) in
-  let s2 = Scenario.signature (Scenario.run_sim ~seed:3 sc) in
-  check Alcotest.bool "byte-identical replay" true (String.equal s1 s2);
-  let s3 = Scenario.signature (Scenario.run_sim ~seed:4 sc) in
-  check Alcotest.bool "the seed matters" true (not (String.equal s1 s3))
+  (* Fig. 5 with a fail-stop crash of node 3 at 2 s, before the switch. *)
+  let fig5_crash =
+    let spec = E.spec E.default in
+    {
+      spec with
+      Run.triggers =
+        { Run.at_ms = 2_000.0; shard = 0; node = 3; action = Run.Crash } :: spec.Run.triggers;
+    }
+  in
+  let rolling_closed =
+    Shard.rolling
+      {
+        Shard.default with
+        n = 8;
+        shards = 4;
+        load = Run.Closed { clients_per_node = 2 };
+        until_ms = 400.0;
+      }
+  in
+  List.iter
+    (fun (what, spec) ->
+      let signature () = Run.signature ~name:what (Run.exec spec) in
+      let s1 = signature () in
+      check Alcotest.bool (what ^ ": byte-identical replay") true
+        (String.equal s1 (signature ())))
+    [
+      ("replacement-under-partition", Corpus.spec ~seed:3 sc);
+      ("fig5 + fail-stop crash", fig5_crash);
+      ("4-shard closed-loop rolling", rolling_closed);
+    ];
+  let s3 = Run.signature (Run.exec (Corpus.spec ~seed:3 sc)) in
+  let s4 = Run.signature (Run.exec (Corpus.spec ~seed:4 sc)) in
+  check Alcotest.bool "the seed matters" true (not (String.equal s3 s4))
 
 (* ------------------------------------------------------------------ *)
 (* Specs, validation, inspection                                      *)

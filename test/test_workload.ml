@@ -43,6 +43,17 @@ let test_burst_rate () =
   let sent = count_sends 50.0 (W.Load_gen.Burst { period_ms = 500.0; duty = 0.2 }) in
   if sent < 50 || sent > 150 then fail (Printf.sprintf "burst produced %d" sent)
 
+(* A rate of 0 used to give every node a NaN start phase (one send
+   each), and a negative or NaN rate re-sent forever at time 0. *)
+let test_rate_must_be_positive () =
+  List.iter
+    (fun rate_per_s ->
+      let mw = MW.create ~n:3 () in
+      match W.Load_gen.start mw ~rate_per_s ~until:1_000.0 () with
+      | exception Invalid_argument _ -> ()
+      | () -> fail (Printf.sprintf "rate %g accepted" rate_per_s))
+    [ 0.0; -5.0; Float.nan; Float.infinity ]
+
 let test_send_n () =
   let mw = MW.create ~n:3 () in
   ignore (W.Load_gen.send_n mw ~count:12 ~gap_ms:5.0 () : float);
@@ -234,7 +245,7 @@ let test_throughput_batching_at_least_doubles () =
      loop sustains at least twice the unbatched rate. *)
   let module T = W.Throughput in
   let sustained batching =
-    (T.saturate ~params:{ T.default with T.batching } ~clients_per_node:16 ())
+    (T.saturate ~clients_per_node:16 (T.with_batching batching T.default))
       .T.delivered_per_s
   in
   let off = sustained None in
@@ -349,13 +360,13 @@ let shard_small =
     W.Shard.default with
     n = 6;
     shards = 2;
-    load_per_s = 100.0;
+    load = W.Run.Open { rate_per_s = 100.0; pattern = W.Load_gen.Constant };
     warmup_ms = 100.0;
-    duration_ms = 600.0;
+    until_ms = 600.0;
   }
 
 let test_shard_runner_reports () =
-  let r = W.Shard.run ~params:shard_small () in
+  let r = W.Shard.run shard_small in
   check Alcotest.int "one result per shard" 2 (List.length r.W.Shard.per_shard);
   List.iter
     (fun (s : W.Shard.shard_result) ->
@@ -372,17 +383,11 @@ let test_shard_runner_reports () =
   check Alcotest.bool "all ok" true r.W.Shard.all_ok
 
 let test_shard_rolling_overlaps () =
-  let params =
-    {
-      shard_small with
-      n = 12;
-      shards = 4;
-      duration_ms = 800.0;
-      rolling =
-        Some { W.Shard.default_rolling with start_ms = 150.0; stagger_ms = 0.25 };
-    }
+  let r =
+    W.Shard.run
+      (W.Shard.rolling ~start_ms:150.0 ~stagger_ms:0.25
+         { shard_small with n = 12; shards = 4; until_ms = 800.0 })
   in
-  let r = W.Shard.run ~params () in
   List.iter
     (fun (s : W.Shard.shard_result) ->
       check Alcotest.int "every shard switched" 1 s.generation;
@@ -394,10 +399,10 @@ let test_shard_rolling_overlaps () =
   check Alcotest.bool "all ok" true r.W.Shard.all_ok
 
 let test_shard_closed_loop () =
-  let params =
-    { shard_small with duration_ms = 400.0; closed_loop = Some 2 }
+  let r =
+    W.Shard.run
+      { shard_small with until_ms = 400.0; load = W.Run.Closed { clients_per_node = 2 } }
   in
-  let r = W.Shard.run ~params () in
   List.iter
     (fun (s : W.Shard.shard_result) ->
       check Alcotest.bool "closed loop kept sending" true (s.delivered > 10);
@@ -406,7 +411,7 @@ let test_shard_closed_loop () =
   check Alcotest.bool "all ok" true r.W.Shard.all_ok
 
 let test_shard_export_shapes () =
-  let r = W.Shard.run ~params:shard_small () in
+  let r = W.Shard.run shard_small in
   let rows = W.Shard.csv_rows r in
   check Alcotest.int "one csv row per shard" 2 (List.length rows);
   List.iter
@@ -429,8 +434,8 @@ let test_shard_determinism () =
       (fun (s : W.Shard.shard_result) -> (s.sent, s.delivered, s.p50_ms, s.p99_ms))
       r.W.Shard.per_shard
   in
-  let a = W.Shard.run ~params:shard_small () in
-  let b = W.Shard.run ~params:shard_small () in
+  let a = W.Shard.run shard_small in
+  let b = W.Shard.run shard_small in
   check Alcotest.bool "identical runs" true (quantiles a = quantiles b)
 
 let () =
@@ -442,6 +447,7 @@ let () =
           tc "constant rate" test_constant_rate;
           tc "poisson rate" test_poisson_rate;
           tc "burst rate" test_burst_rate;
+          tc "rate must be finite and positive" test_rate_must_be_positive;
           tc "send_n" test_send_n;
           tc "send_n warmup boundary" test_send_n_warmup_boundary;
           tc "spread across nodes" test_load_spread_across_nodes;
