@@ -150,12 +150,6 @@ let battery r g =
     @ Dpu_props.Stack_props.check_generic trace ~protocols
         ~nodes:(List.init (MW.n grp.mw) Fun.id)
 
-let max_concurrent_switches r =
-  Dpu_core.Fabric.max_overlap
-    (List.filter_map
-       (fun grp -> Collector.switch_window grp.collector ~generation:1)
-       (Array.to_list r.groups))
-
 let signature ?(name = "run") r =
   let buf = Buffer.create 4_096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

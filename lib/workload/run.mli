@@ -67,9 +67,6 @@ val battery : result -> int -> Dpu_props.Report.t list
 (** The ABcast properties of one group, plus the generic §3 properties
     when its kernel trace is on. *)
 
-val max_concurrent_switches : result -> int
-(** How many groups' generation-1 switch windows overlap at once. *)
-
 val signature : ?name:string -> result -> string
 (** Canonical dump of sends, deliveries, switches and fault and wire
     counters, group by group, headed by [name] (default ["run"]); two

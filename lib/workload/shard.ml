@@ -97,7 +97,11 @@ let run spec =
   {
     spec;
     per_shard;
-    max_concurrent_switches = Run.max_concurrent_switches r;
+    max_concurrent_switches =
+      Dpu_core.Fabric.max_overlap
+        (List.filter_map
+           (fun (g : Run.group) -> Option.join (List.assoc_opt 1 g.windows))
+           (Array.to_list r.groups));
     drained_at_ms = r.end_ms;
     all_ok = List.for_all shard_ok per_shard;
   }
