@@ -70,7 +70,8 @@ let start_load s mw =
   match s.load with
   | Open { rate_per_s; pattern } ->
     (* Split by group size, so every node carries the same per-node
-       rate however the block split rounded. *)
+       rate however the block split rounded. One group takes the rate
+       as given: [r *. n /. n] can round away from [r]. *)
     let rate_per_s =
       if s.shards = 1 then rate_per_s
       else rate_per_s *. float_of_int (MW.n mw) /. float_of_int s.n
