@@ -1051,11 +1051,9 @@ let trace_cmd =
         let rec go i = i + nl <= hl && (String.sub s i nl = needle || go (i + 1)) in
         go 0
     in
-    List.iter
-      (fun e ->
+    Dpu_kernel.Trace.iter r.E.trace (fun e ->
         let line = Format.asprintf "%a" Dpu_kernel.Trace.pp_entry e in
         if matches line then print_endline line)
-      (Dpu_kernel.Trace.entries r.E.trace)
   in
   let duration =
     Arg.(value & opt float 500.0 & info [ "duration" ] ~docv:"MS" ~doc:"Horizon.")
@@ -1076,7 +1074,11 @@ let trace_cmd =
       & info [ "grep" ] ~docv:"SUBSTR" ~doc:"Only print matching trace lines.")
   in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Dump the kernel event trace of a short scenario.")
+    (Cmd.info "trace"
+       ~doc:
+         "Dump the kernel event trace of a short scenario. Call and indication \
+          lines show the payload's constructor; message ids appear in the \
+          abcast/adeliver app events.")
     Term.(const run $ n_arg $ load_arg $ duration $ switch_at $ switch_to $ grep)
 
 (* ------------------------------------------------------------------ *)

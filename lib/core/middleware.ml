@@ -89,7 +89,8 @@ let broadcast t ~node ?size body =
   else begin
   Dpu_obs.Metrics.incr t.m_sends;
   Collector.record_send t.collector ~node ~id:m.id ~time:(now t);
-  Stack.app_event stack ~tag:"abcast" ~data:(Msg.id_to_string m.id);
+  if Trace.enabled (Stack.trace stack) then
+    Stack.app_event stack ~tag:"abcast" ~data:(Msg.id_to_string m.id);
   (if has_layer t then
      Stack.call stack Service.r_abcast
        (Repl_iface.R_broadcast { size; payload = App_msg.App m })

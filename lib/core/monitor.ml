@@ -27,7 +27,8 @@ let install ~collector ~mode stack =
       in
       let deliver (m : Msg.t) =
         Dpu_obs.Metrics.incr m_delivers;
-        Stack.app_event stack ~tag:"adeliver" ~data:(Msg.id_to_string m.id);
+        if Trace.enabled (Stack.trace stack) then
+          Stack.app_event stack ~tag:"adeliver" ~data:(Msg.id_to_string m.id);
         Collector.record_deliver collector ~node ~id:m.id ~time:(now ())
       in
       {

@@ -60,16 +60,17 @@ let switch_events collector ~n =
   in
   instants @ windows
 
-(* Blocked-call spans: pair each [Call_blocked] with the matching
-   [Call_unblocked] per (node, service). The kernel releases blocked
-   calls of one service in FIFO order, so a queue per key suffices.
-   Entries orphaned by ring-buffer eviction are dropped. *)
-let blocked_events trace =
+(* From one pass over the kernel trace: the blocked-call spans, then
+   the replacement-trigger instants. A blocked span pairs each
+   [Call_blocked] with the matching [Call_unblocked] per (node,
+   service); the kernel releases blocked calls of one service in FIFO
+   order, so a queue per key suffices. Entries orphaned by ring-buffer
+   eviction are dropped. *)
+let trace_events trace =
   let open Trace in
   let pending : (int * string, float Queue.t) Hashtbl.t = Hashtbl.create 16 in
-  let out = ref [] in
-  List.iter
-    (fun e ->
+  let blocked = ref [] and triggers = ref [] in
+  iter trace (fun e ->
       match e.kind with
       | Call_blocked (svc, _) ->
         let q =
@@ -85,27 +86,19 @@ let blocked_events trace =
         match Hashtbl.find_opt pending (e.node, svc) with
         | Some q when not (Queue.is_empty q) ->
           let t0 = Queue.pop q in
-          out :=
+          blocked :=
             TE.complete ~name:("blocked " ^ svc) ~cat:"kernel" ~pid:e.node
               ~tid:tid_kernel ~ts_ms:t0 ~dur_ms:(e.time -. t0) ()
-            :: !out
+            :: !blocked
         | Some _ | None -> ())
-      | _ -> ())
-    (entries trace);
-  List.rev !out
-
-let trigger_events trace =
-  let open Trace in
-  List.filter_map
-    (fun e ->
-      match e.kind with
       | App (("change-abcast" | "change-consensus") as tag, data) ->
-        Some
-          (TE.instant
-             ~name:(Printf.sprintf "trigger %s -> %s" tag data)
-             ~cat:"dpu" ~pid:e.node ~tid:tid_kernel ~ts_ms:e.time ())
-      | _ -> None)
-    (entries trace)
+        triggers :=
+          TE.instant
+            ~name:(Printf.sprintf "trigger %s -> %s" tag data)
+            ~cat:"dpu" ~pid:e.node ~tid:tid_kernel ~ts_ms:e.time ()
+          :: !triggers
+      | _ -> ());
+  List.rev_append !blocked (List.rev !triggers)
 
 let metadata ~n =
   let per_node node =
@@ -142,7 +135,7 @@ let windows_of_trace_events = Dpu_obs.Report_html.windows_of_events
 let of_run ?trace ~n collector =
   let from_trace =
     match trace with
-    | Some tr when Trace.enabled tr -> blocked_events tr @ trigger_events tr
+    | Some tr when Trace.enabled tr -> trace_events tr
     | Some _ | None -> []
   in
   metadata ~n @ message_events collector @ switch_events collector ~n @ from_trace

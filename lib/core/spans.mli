@@ -21,9 +21,11 @@ val switch_events : Collector.t -> n:int -> Dpu_obs.Trace_event.t list
 (** Per-node generation-install instants plus one window span per
     generation on the timeline process. *)
 
-val blocked_events : Trace.t -> Dpu_obs.Trace_event.t list
-(** One span per blocked service call (from [Call_blocked] to its FIFO
-    matching [Call_unblocked]); requires the trace to have been
+val trace_events : Trace.t -> Dpu_obs.Trace_event.t list
+(** From one pass over the kernel trace: one span per blocked service
+    call (from [Call_blocked] to its FIFO matching [Call_unblocked]),
+    then one instant per replacement trigger ([change-abcast] /
+    [change-consensus] app events). Requires the trace to have been
     enabled during the run. *)
 
 val replacement_timeline : Collector.t -> (int * (float * float)) list

@@ -22,6 +22,10 @@ let to_string p =
 
 let pp ppf p = Format.pp_print_string ppf (to_string p)
 
+(* The name is a field of the constructor's slot, so this reads two
+   fields and allocates nothing. *)
+let constructor_name p = Obj.Extension_constructor.(name (of_val p))
+
 (* ------------------------------------------------------------------ *)
 (* Wire codecs                                                         *)
 (* ------------------------------------------------------------------ *)

@@ -26,6 +26,13 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
+val constructor_name : t -> string
+(** The payload's constructor, fully qualified
+    (e.g. ["Dpu_protocols.Repl_iface.R_broadcast"]). Allocates nothing:
+    the same shared string comes back for every payload built with
+    that constructor — what the kernel trace records for a call or
+    indication. *)
+
 (** {1 Wire codecs} *)
 
 exception Decode_error of string

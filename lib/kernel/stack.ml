@@ -109,11 +109,12 @@ let is_crashed t = t.crashed
 
 let record t kind = Trace.record t.trace ~time:(now t) ~node:t.node kind
 
-(* Building payload descriptions is pure overhead when the trace is
-   off (the benchmark configurations); gate the formatting, not just
-   the recording. *)
-let record_lazy t kind_of_desc payload =
-  if Trace.enabled t.trace then record t (kind_of_desc (Payload.to_string payload))
+(* The per-dispatch entry: service and payload constructor are shared
+   strings, so a traced dispatch allocates no more than an untraced one. *)
+let record_dispatch t d svc payload =
+  if Trace.enabled t.trace then
+    Trace.record_dispatch t.trace ~time:(now t) ~node:t.node d ~service:(Service.name svc)
+      ~payload:(Payload.constructor_name payload)
 
 let crash t =
   if not t.crashed then begin
@@ -190,11 +191,11 @@ let rec execute_call t svc payload =
     match bound t svc with
     | Some m ->
       t.calls_executed <- t.calls_executed + 1;
-      record_lazy t (fun d -> Trace.Call (Service.name svc, d)) payload;
+      record_dispatch t Trace.Called svc payload;
       m.m_handlers.handle_call svc payload
     | None ->
       t.calls_blocked <- t.calls_blocked + 1;
-      record_lazy t (fun d -> Trace.Call_blocked (Service.name svc, d)) payload;
+      record_dispatch t Trace.Blocked svc payload;
       Queue.add (now t, payload) (blocked_queue t svc)
 
 and release_blocked t svc =
@@ -236,7 +237,7 @@ let call t svc payload =
 let execute_indication t svc payload =
   if not t.crashed then begin
     t.indications_executed <- t.indications_executed + 1;
-    record_lazy t (fun d -> Trace.Indication (Service.name svc, d)) payload;
+    record_dispatch t Trace.Indicated svc payload;
     (* Snapshot: handlers may add/remove modules while we iterate. *)
     let receivers =
       List.filter (fun m -> List.exists (Service.equal svc) m.m_requires) (modules t)

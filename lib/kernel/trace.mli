@@ -11,11 +11,11 @@ type kind =
   | Remove_module of string
   | Bind of string * string  (** service, module *)
   | Unbind of string * string  (** service, module *)
-  | Call of string * string  (** service, payload summary *)
+  | Call of string * string  (** service, payload constructor *)
   | Call_blocked of string * string
       (** a call found no bound module and was queued *)
   | Call_unblocked of string  (** a queued call was released by a bind *)
-  | Indication of string * string  (** service, payload summary *)
+  | Indication of string * string  (** service, payload constructor *)
   | Crash
   | App of string * string  (** application-level tag, data *)
 
@@ -36,8 +36,25 @@ val set_enabled : t -> bool -> unit
 
 val record : t -> time:float -> node:int -> kind -> unit
 
+(** The per-dispatch kinds, without their strings. *)
+type dispatch =
+  | Called  (** {!Call} *)
+  | Blocked  (** {!Call_blocked} *)
+  | Indicated  (** {!Indication} *)
+
+val record_dispatch :
+  t -> time:float -> node:int -> dispatch -> service:string -> payload:string -> unit
+(** [record] of [Call (service, payload)], [Call_blocked …] or
+    [Indication …] without building the kind: allocates nothing once
+    the columns have grown. *)
+
 val entries : t -> entry list
 (** Retained entries in recording order (oldest retained first). *)
+
+val iter : t -> (entry -> unit) -> unit
+(** The retained entries in recording order, without building a list. *)
+
+val fold : t -> init:'a -> ('a -> entry -> 'a) -> 'a
 
 val length : t -> int
 (** Number of retained entries (at most [capacity]). *)

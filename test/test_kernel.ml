@@ -191,6 +191,86 @@ let test_trace_filter () =
   in
   check Alcotest.int "one bind" 1 (List.length binds)
 
+let test_trace_columns_roundtrip () =
+  (* The ring is kept as columns; every field of every kind must come
+     back in order across the geometric growth (64, then 100) and the
+     wrap that follows. *)
+  let cap = 100 and total = 257 in
+  let t = Trace.create ~capacity:cap () in
+  let kind_of i =
+    match i mod 4 with
+    | 0 -> Trace.Bind (Printf.sprintf "s%d" i, Printf.sprintf "m%d" i)
+    | 1 -> Trace.Call (Printf.sprintf "s%d" i, Printf.sprintf "P%d" i)
+    | 2 -> Trace.App (Printf.sprintf "tag%d" i, Printf.sprintf "data%d" i)
+    | _ -> Trace.Crash
+  in
+  let expected = List.init total (fun i -> (0.5 *. float_of_int i, i mod 7, kind_of i)) in
+  List.iter (fun (time, node, kind) -> Trace.record t ~time ~node kind) expected;
+  check Alcotest.int "length" cap (Trace.length t);
+  check Alcotest.int "dropped" (total - cap) (Trace.dropped t);
+  check Alcotest.bool "truncated" true (Trace.truncated t);
+  let tail = List.filteri (fun i _ -> i >= total - cap) expected in
+  let got = List.map (fun e -> (e.Trace.time, e.Trace.node, e.Trace.kind)) (Trace.entries t) in
+  check Alcotest.bool "every field in order" true (got = tail);
+  let iterated = ref [] in
+  Trace.iter t (fun e -> iterated := e :: !iterated);
+  check Alcotest.bool "iter = entries" true (List.rev !iterated = Trace.entries t);
+  check Alcotest.bool "fold = entries" true
+    (List.rev (Trace.fold t ~init:[] (fun acc e -> e :: acc)) = Trace.entries t)
+
+let test_trace_call_shows_constructor () =
+  let sim, trace, stack = make_stack () in
+  let m, _, _, _, _ = probe stack ~name:"p" ~provides:[ svc_a ] ~requires:[] in
+  Stack.call stack svc_a (Ping 1);
+  Sim.run sim;
+  Stack.bind stack svc_a m;
+  Sim.run sim;
+  let ping = Payload.constructor_name (Ping 1) in
+  check Alcotest.bool "qualified name" true (String.ends_with ~suffix:".Ping" ping);
+  check Alcotest.bool "one shared string" true (ping == Payload.constructor_name (Ping 2));
+  let calls =
+    Trace.filter trace (fun e ->
+        match e.Trace.kind with Trace.Call _ | Trace.Call_blocked _ -> true | _ -> false)
+  in
+  (match List.map (fun e -> e.Trace.kind) calls with
+  | [ Trace.Call_blocked ("svc.a", p); Trace.Call ("svc.a", p') ] ->
+    check Alcotest.string "blocked payload" ping p;
+    check Alcotest.string "call payload" ping p'
+  | _ -> fail "expected a blocked call, then its release");
+  let release = List.nth calls 1 in
+  check Alcotest.string "rendered"
+    (Printf.sprintf "%10.3f n0 call svc.a [%s]" release.Trace.time ping)
+    (Format.asprintf "%a" Trace.pp_entry release)
+
+(* Minor words allocated by [iters] calls to a bound sink. *)
+let dispatch_words ~trace_on ~iters =
+  let sim = Sim.create ~seed:1 () in
+  let trace = Trace.create ~enabled:trace_on ~capacity:1_000 () in
+  let stack = Stack.create ~clock:(Dpu_runtime.Sim_backend.clock sim) ~node:0 ~trace () in
+  let m = Stack.add_module stack ~name:"sink" ~provides:[ svc_a ] ~requires:[] (fun _ _ -> Stack.default_handlers) in
+  Stack.bind stack svc_a m;
+  let payload = Ping 1 in
+  let calls n =
+    for _ = 1 to n do
+      Stack.call stack svc_a payload;
+      Sim.run sim
+    done
+  in
+  (* Let the ring grow to its capacity and wrap before measuring. *)
+  calls 2_000;
+  let w0 = Gc.minor_words () in
+  calls iters;
+  Gc.minor_words () -. w0
+
+let test_trace_dispatch_allocates_nothing () =
+  let iters = 10_000 in
+  let on = dispatch_words ~trace_on:true ~iters and off = dispatch_words ~trace_on:false ~iters in
+  let per_dispatch w = w /. float_of_int iters in
+  if per_dispatch on > per_dispatch off +. 0.01 then
+    fail
+      (Printf.sprintf "traced dispatch allocates %.2f words, untraced %.2f" (per_dispatch on)
+         (per_dispatch off))
+
 (* ------------------------------------------------------------------ *)
 (* Stack                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -612,6 +692,9 @@ let () =
           tc "dropped exact across wraps" test_trace_dropped_exact_across_wraps;
           tc "disabled drops nothing" test_trace_disabled_records_drop_nothing;
           tc "filter" test_trace_filter;
+          tc "columns roundtrip" test_trace_columns_roundtrip;
+          tc "call shows constructor" test_trace_call_shows_constructor;
+          tc "dispatch allocates nothing" test_trace_dispatch_allocates_nothing;
         ] );
       ( "stack",
         [

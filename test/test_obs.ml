@@ -432,6 +432,36 @@ let test_spans_from_collector () =
   check (Alcotest.option Alcotest.int) "timeline pid" (Some 2)
     (Option.bind (Json.member window "pid") Json.to_int_opt)
 
+let test_spans_from_kernel_trace () =
+  (* One pass over the kernel trace: blocked-call spans (FIFO per node
+     and service) first, then the trigger instants. *)
+  let open Dpu_kernel in
+  let tr = Trace.create () in
+  let add time node kind = Trace.record tr ~time ~node kind in
+  add 1.0 0 (Trace.Call_blocked ("abcast", "P"));
+  add 2.0 0 (Trace.App ("change-abcast", "abcast.seq"));
+  add 3.0 0 (Trace.Call_blocked ("abcast", "P"));
+  add 4.0 1 (Trace.Call_unblocked "abcast");
+  add 5.0 0 (Trace.Call_unblocked "abcast");
+  add 6.0 0 (Trace.Call_unblocked "abcast");
+  add 7.0 1 (Trace.App ("adeliver", "0.1"));
+  let names =
+    List.map
+      (function
+        | TE.Complete { name; ts_us; dur_us; pid; _ } ->
+          Printf.sprintf "%s n%d %.0f+%.0f" name pid ts_us dur_us
+        | TE.Instant { name; ts_us; pid; _ } -> Printf.sprintf "%s n%d %.0f" name pid ts_us
+        | TE.Process_name _ | TE.Thread_name _ -> "meta")
+      (Spans.trace_events tr)
+  in
+  check (Alcotest.list Alcotest.string) "spans then triggers"
+    [
+      "blocked abcast n0 1000+4000";
+      "blocked abcast n0 3000+3000";
+      "trigger change-abcast -> abcast.seq n0 2000";
+    ]
+    names
+
 (* ------------------------------------------------------------------ *)
 (* Replacement windows: collector vs trace round-trip                 *)
 (* ------------------------------------------------------------------ *)
@@ -685,6 +715,7 @@ let () =
       ( "spans",
         [
           tc "from collector" test_spans_from_collector;
+          tc "from kernel trace" test_spans_from_kernel_trace;
           tc "windows roundtrip through trace" test_windows_roundtrip_through_trace;
         ] );
       ( "report",
