@@ -1,13 +1,13 @@
 (* Benchmark harness: regenerates every figure and headline number of
-   the paper's evaluation (§6), runs the ablation studies called out in
-   DESIGN.md, and measures the kernel's primitive costs with Bechamel.
+   the paper's evaluation (§6) and runs the ablation studies called out
+   in DESIGN.md.
 
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig5    # one section
      dune exec bench/main.exe -- --jobs 2 fig6 shard
      sections: fig5 fig6 headline compare throughput shard ablation
-     consensus model micro *)
+     consensus model *)
 
 module W = Dpu_workload
 module E = W.Experiment
@@ -865,93 +865,6 @@ let run_model () =
   | C.Verified _ | C.Bound_exceeded _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                          *)
-(* ------------------------------------------------------------------ *)
-
-let micro_tests () =
-  let open Bechamel in
-  let heap_churn =
-    Test.make ~name:"heap: 64x add+pop"
-      (Staged.stage (fun () ->
-           let h = Dpu_engine.Heap.create () in
-           for i = 0 to 63 do
-             Dpu_engine.Heap.add h ~priority:(float_of_int (i * 7 mod 64)) i
-           done;
-           let rec drain () =
-             match Dpu_engine.Heap.pop h with Some _ -> drain () | None -> ()
-           in
-           drain ()))
-  in
-  let rng_floats =
-    let rng = Dpu_engine.Rng.create ~seed:1 in
-    Test.make ~name:"rng: 64x float"
-      (Staged.stage (fun () ->
-           for _ = 1 to 64 do
-             ignore (Dpu_engine.Rng.float rng : float)
-           done))
-  in
-  let sim_cycle =
-    Test.make ~name:"sim: schedule+run 64 events"
-      (Staged.stage (fun () ->
-           let sim = Sim.create () in
-           for i = 1 to 64 do
-             ignore (Sim.schedule sim ~delay:(float_of_int i) (fun () -> ()))
-           done;
-           Sim.run sim))
-  in
-  let stack_dispatch =
-    Test.make ~name:"kernel: 64 call dispatches"
-      (Staged.stage (fun () ->
-           let sim = Sim.create () in
-           let trace = Dpu_kernel.Trace.create ~enabled:false () in
-           let stack = Dpu_kernel.Stack.create ~clock:(Dpu_runtime.Sim_backend.clock sim) ~node:0 ~trace () in
-           let svc = Dpu_kernel.Service.make "s" in
-           let m =
-             Dpu_kernel.Stack.add_module stack ~name:"sink" ~provides:[ svc ] ~requires:[]
-               (fun _ _ -> Dpu_kernel.Stack.default_handlers)
-           in
-           Dpu_kernel.Stack.bind stack svc m;
-           for _ = 1 to 64 do
-             Dpu_kernel.Stack.call stack svc Dpu_kernel.Payload.Unit
-           done;
-           Sim.run sim))
-  in
-  let abcast_message =
-    Test.make ~name:"system: one CT-ABcast message (n=3)"
-      (Staged.stage (fun () ->
-           let mw = Dpu_core.Middleware.create ~n:3 () in
-           ignore (Dpu_core.Middleware.broadcast mw ~node:0 "x" : Dpu_kernel.Msg.t);
-           Dpu_core.Middleware.run_until_quiescent ~limit:5_000.0 mw))
-  in
-  [ heap_churn; rng_floats; sim_cycle; stack_dispatch; abcast_message ]
-
-let run_micro () =
-  section "Bechamel micro-benchmarks (wall-clock cost of the primitives)";
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let grouped = Test.make_grouped ~name:"dpu" [] ~fmt:"%s %s" in
-  ignore grouped;
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns_per_run ] ->
-            Printf.printf "  %-40s %12.1f ns/run\n%!" name ns_per_run
-          | Some _ | None -> Printf.printf "  %-40s (no estimate)\n%!" name)
-        analyzed)
-    (micro_tests ())
-
-(* ------------------------------------------------------------------ *)
 
 let all_sections =
   [
@@ -964,7 +877,6 @@ let all_sections =
     ("ablation", run_ablation);
     ("consensus", run_consensus);
     ("model", run_model);
-    ("micro", run_micro);
   ]
 
 let run_bench requested =

@@ -321,21 +321,25 @@ let fig6_cmd =
     Arg.(value & opt (list int) [ 3; 7 ] & info [ "ns" ] ~docv:"N1,N2" ~doc:"Group sizes.")
   in
   let run ns loads seed jobs =
-    print_string (F.render_figure6 (F.figure6 ~ns ~loads ~seed ~jobs ()))
+    let outcome = F.figure6_sweep ~ns ~loads ~seed ~jobs () in
+    print_string (F.render_figure6 (Array.to_list outcome.Dpu_workload.Sweep.results))
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"Regenerate Figure 6 (latency vs load).")
     Term.(const run $ ns $ loads $ seed_arg $ jobs_arg)
 
 let headline_cmd =
-  let run n load jobs = print_string (F.render_headline (F.headline ~n ~load ~jobs ())) in
+  let run n load jobs =
+    print_string (F.render_headline (fst (F.headline_sweep ~n ~load ~jobs ())))
+  in
   Cmd.v
     (Cmd.info "headline" ~doc:"Regenerate the headline numbers of §6.")
     Term.(const run $ n_arg $ load_arg $ jobs_arg)
 
 let compare_cmd =
   let run n load seed jobs =
-    print_string (F.render_comparison (F.compare_approaches ~n ~load ~seed ~jobs ()))
+    print_string
+      (F.render_comparison (fst (F.compare_approaches_sweep ~n ~load ~seed ~jobs ())))
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Quantify Repl vs Graceful Adaptation vs Maestro.")
@@ -710,6 +714,11 @@ let serve n load duration drain switch_at initial switch_to seed msg_size batchi
           nemesis = sc.Corpus.schedule;
         })
   in
+  (match Dpu_live.Serve.validate params with
+  | () -> ()
+  | exception Invalid_argument msg ->
+    Printf.eprintf "dpu_run serve: %s\n" msg;
+    exit 2);
   Printf.printf "serving %d nodes over UDP on 127.0.0.1 (%.0f msg/s for %.0f ms)\n%!"
     params.Dpu_live.Serve.n params.Dpu_live.Serve.load
     params.Dpu_live.Serve.duration_ms;

@@ -12,19 +12,6 @@ type Payload.t +=
   | C_activated of { gen : int; from : int }
 
 let () =
-  Payload.register_printer (function
-    | G_data { gen; id; _ } ->
-      Some (Printf.sprintf "graceful.data gen=%d %s" gen (Msg.id_to_string id))
-    | G_point { gen; protocol } -> Some (Printf.sprintf "graceful.point gen=%d %s" gen protocol)
-    | C_prepare { gen; protocol; initiator } ->
-      Some (Printf.sprintf "graceful.prepare gen=%d %s from=%d" gen protocol initiator)
-    | C_prepared { gen; from; ok } ->
-      Some (Printf.sprintf "graceful.prepared gen=%d from=%d ok=%b" gen from ok)
-    | C_activated { gen; from } ->
-      Some (Printf.sprintf "graceful.activated gen=%d from=%d" gen from)
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"graceful"
     ~encode:(function
       | G_data { gen; id; size; payload } ->

@@ -3,11 +3,6 @@ open Dpu_kernel
 type Payload.t += App of Msg.t
 
 let () =
-  Payload.register_printer (function
-    | App m -> Some (Printf.sprintf "app %s" (Msg.id_to_string m.Msg.id))
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"app"
     ~encode:(function
       | App m -> Some (fun w -> Msg.write w m)

@@ -7,13 +7,6 @@ type Payload.t +=
   | A_new of { sn : int; protocol : string }
 
 let () =
-  Payload.register_printer (function
-    | A_data { sn; id; _ } ->
-      Some (Printf.sprintf "repl.data sn=%d %s" sn (Msg.id_to_string id))
-    | A_new { sn; protocol } -> Some (Printf.sprintf "repl.new sn=%d %s" sn protocol)
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"repl"
     ~encode:(function
       | A_data { sn; id; size; payload } ->

@@ -2,26 +2,6 @@ type t = ..
 
 type t += Unit
 
-(* ------------------------------------------------------------------ *)
-(* Printers                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let printers : (t -> string option) list ref = ref []
-
-let register_printer f = printers := f :: !printers
-
-let to_string p =
-  match p with
-  | Unit -> "unit"
-  | _ ->
-    let rec try_all = function
-      | [] -> "<payload>"
-      | f :: rest -> ( match f p with Some s -> s | None -> try_all rest)
-    in
-    try_all !printers
-
-let pp ppf p = Format.pp_print_string ppf (to_string p)
-
 (* The name is a field of the constructor's slot, so this reads two
    fields and allocates nothing. *)
 let constructor_name p = Obj.Extension_constructor.(name (of_val p))
@@ -93,7 +73,7 @@ let encode_exn p =
   | Some s -> s
   | None ->
     invalid_arg
-      (Printf.sprintf "Payload.encode_exn: no codec for %s" (to_string p))
+      (Printf.sprintf "Payload.encode_exn: no codec for %s" (constructor_name p))
 
 let has_codec p = match encode p with Some _ -> true | None -> false
 
@@ -195,7 +175,7 @@ module Envelope = struct
           if not (encode_into scratch p) then
             invalid_arg
               (Printf.sprintf "Payload.Envelope.seal_batch: no codec for %s"
-                 (to_string p));
+                 (constructor_name p));
           Wire.W.str_writer elems scratch;
           count + 1)
         0 payloads

@@ -4,10 +4,11 @@
     sharing a service (e.g. everything multiplexed over [net]) simply
     pattern-match on their own constructors and ignore the rest. This
     mirrors the untyped event model of SAMOA/Appia protocol kernels
-    while staying allocation-cheap and printable.
+    while staying allocation-cheap; a payload is named by its
+    constructor ({!constructor_name}).
 
-    Alongside the printer registry, protocols may register a {e wire
-    codec} for their constructors. Codecs are only exercised by
+    Protocols may also register a {e wire codec} for their
+    constructors. Codecs are only exercised by
     backends that serialise messages (the live UDP transport); the
     simulated backend passes payload values by reference and never
     touches them, so registering a codec has zero effect on simulated
@@ -16,15 +17,6 @@
 type t = ..
 
 type t += Unit  (** a payload carrying no information *)
-
-val register_printer : (t -> string option) -> unit
-(** Add a printer for some constructors; printers are tried most recent
-    first. *)
-
-val to_string : t -> string
-(** Best-effort rendering (["<payload>"] if no printer matches). *)
-
-val pp : Format.formatter -> t -> unit
 
 val constructor_name : t -> string
 (** The payload's constructor, fully qualified

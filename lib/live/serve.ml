@@ -72,23 +72,30 @@ let counters_json (c : Dpu_runtime.Transport.counters) =
       ("bytes", J.Int c.Dpu_runtime.Transport.bytes);
     ]
 
-let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
+let switches params =
+  (match params.switch_to with
+  | Some p -> [ (params.switch_at_ms, 0, p) ]
+  | None -> [])
+  @ params.switches
+
+let validate params =
   if params.n < 1 then invalid_arg "Serve.run: need at least one node";
-  if params.load <= 0.0 then invalid_arg "Serve.run: load must be positive";
+  if not (Float.is_finite params.load && params.load > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Serve.run: load must be a finite rate > 0 msg/s (got %g)"
+         params.load);
   (match Dpu_faults.Schedule.validate ~n:params.n params.nemesis with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "Serve.run: nemesis: %s" msg));
-  let switches =
-    (match params.switch_to with
-    | Some p -> [ (params.switch_at_ms, 0, p) ]
-    | None -> [])
-    @ params.switches
-  in
   List.iter
     (fun (_, node, _) ->
       if node < 0 || node >= params.n then
         invalid_arg (Printf.sprintf "Serve.run: switch node %d out of range" node))
-    switches;
+    (switches params)
+
+let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
+  validate params;
+  let switches = switches params in
   let fds =
     Array.init params.n (fun _ -> Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0)
   in

@@ -62,6 +62,11 @@ type outcome = {
   checks : Dpu_props.Report.t list;
 }
 
+val validate : params -> unit
+(** Raises [Invalid_argument] when [n < 1], [load] is not finite and
+    positive, or the nemesis schedule or a switch targets a node out of
+    range — everything {!run} checks before it forks. *)
+
 val run :
   ?metrics_out:string ->
   ?spans_out:string ->
@@ -69,6 +74,5 @@ val run :
   ?logs_dir:string ->
   params ->
   (outcome, string) result
-(** [Error] on child crash or unreadable report; property violations
-    are not an error — inspect [checks]. Raises [Invalid_argument] if
-    the nemesis schedule or a switch targets a node out of range. *)
+(** {!validate}, then fork. [Error] on child crash or unreadable
+    report; property violations are not an error — inspect [checks]. *)

@@ -7,13 +7,6 @@ type Payload.t += Batch of item list
 type Payload.t += Disseminate of { epoch : int; item : item }
 
 let () =
-  Payload.register_printer (function
-    | Batch items -> Some (Printf.sprintf "ct-abcast.batch(%d)" (List.length items))
-    | Disseminate { epoch; item } ->
-      Some (Printf.sprintf "ct-abcast.disseminate e%d %s" epoch (Msg.id_to_string item.id))
-    | _ -> None)
-
-let () =
   let write_item w { id; size; payload } =
     Msg.write_id w id;
     Wire.W.int w size;

@@ -5,14 +5,6 @@ type Payload.t +=
   | Deliver of { origin : int; payload : Payload.t }
 
 let () =
-  Payload.register_printer (function
-    | Broadcast { size; payload } ->
-      Some (Printf.sprintf "abcast size=%d %s" size (Payload.to_string payload))
-    | Deliver { origin; payload } ->
-      Some (Printf.sprintf "adeliver origin=%d %s" origin (Payload.to_string payload))
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"abcast"
     ~encode:(function
       | Broadcast { size; payload } ->

@@ -10,17 +10,6 @@ type Payload.t +=
     }
 
 let () =
-  Payload.register_printer (function
-    | Wire_req { epoch; id; _ } ->
-      Some (Printf.sprintf "seq-abcast.req e%d %s" epoch (Msg.id_to_string id))
-    | Wire_order { epoch; gseq; _ } -> Some (Printf.sprintf "seq-abcast.order e%d #%d" epoch gseq)
-    | Wire_order_batch { epoch; first_gseq; orders } ->
-      Some
-        (Printf.sprintf "seq-abcast.order-batch e%d #%d+%d" epoch first_gseq
-           (List.length orders))
-    | _ -> None)
-
-let () =
   let write_order w (origin, size, payload) =
     Wire.W.int w origin;
     Wire.W.int w size;

@@ -17,20 +17,6 @@ type Payload.t +=
          mid-run by a dynamic replacement never swallows the token *)
 
 let () =
-  Payload.register_printer (function
-    | Wire_order { epoch; order } ->
-      Some (Printf.sprintf "token-abcast.order e%d #%d" epoch order.gseq)
-    | Wire_token { epoch; era; next_gseq } ->
-      Some (Printf.sprintf "token-abcast.token e%d era=%d next=%d" epoch era next_gseq)
-    | Wire_repair_req { epoch; gseq; from } ->
-      Some (Printf.sprintf "token-abcast.repair-req e%d #%d p%d" epoch gseq from)
-    | Wire_repair { epoch; order } ->
-      Some (Printf.sprintf "token-abcast.repair e%d #%d" epoch order.gseq)
-    | Wire_hello { epoch; from } ->
-      Some (Printf.sprintf "token-abcast.hello e%d p%d" epoch from)
-    | _ -> None)
-
-let () =
   let write_order w { gseq; origin; size; payload } =
     Wire.W.int w gseq;
     Wire.W.int w origin;

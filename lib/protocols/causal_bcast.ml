@@ -7,16 +7,6 @@ type Payload.t +=
 type Payload.t += Stamped of { stamp : int list; origin : int; payload : Payload.t }
 
 let () =
-  Payload.register_printer (function
-    | Bcast { size; _ } -> Some (Printf.sprintf "causal.bcast size=%d" size)
-    | Deliver { origin; _ } -> Some (Printf.sprintf "causal.deliver origin=%d" origin)
-    | Stamped { origin; stamp; _ } ->
-      Some
-        (Printf.sprintf "causal.stamped origin=%d [%s]" origin
-           (String.concat ";" (List.map string_of_int stamp)))
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"causal"
     ~encode:(function
       | Bcast { size; payload } ->

@@ -6,8 +6,6 @@ let iid_compare a b =
   let c = compare a.epoch b.epoch in
   if c <> 0 then c else compare a.k b.k
 
-let pp_iid { epoch; k } = Printf.sprintf "%d:%d" epoch k
-
 let write_iid w { epoch; k } =
   Wire.W.int w epoch;
   Wire.W.int w k
@@ -21,13 +19,6 @@ type Payload.t +=
   | Propose of { iid : iid; value : Payload.t; weight : int }
   | Decide of { iid : iid; value : Payload.t }
   | No_value
-
-let () =
-  Payload.register_printer (function
-    | Propose { iid; _ } -> Some (Printf.sprintf "consensus.propose %s" (pp_iid iid))
-    | Decide { iid; _ } -> Some (Printf.sprintf "consensus.decide %s" (pp_iid iid))
-    | No_value -> Some "consensus.no-value"
-    | _ -> None)
 
 let () =
   Payload.register_codec ~tag:"consensus"

@@ -25,8 +25,6 @@ type iid = { epoch : int; k : int }
 
 val iid_compare : iid -> iid -> int
 
-val pp_iid : iid -> string
-
 val write_iid : Wire.W.t -> iid -> unit
 
 val read_iid : Wire.R.t -> iid

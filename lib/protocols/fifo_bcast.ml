@@ -8,13 +8,6 @@ type Payload.t +=
 type Payload.t += Tagged of { fseq : int; payload : Payload.t }
 
 let () =
-  Payload.register_printer (function
-    | Bcast { size; _ } -> Some (Printf.sprintf "fifo.bcast size=%d" size)
-    | Deliver { origin; _ } -> Some (Printf.sprintf "fifo.deliver origin=%d" origin)
-    | Tagged { fseq; _ } -> Some (Printf.sprintf "fifo.tagged #%d" fseq)
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"fifo"
     ~encode:(function
       | Bcast { size; payload } ->

@@ -14,23 +14,6 @@ type op =
 
 type Payload.t += Gm_change of { op : op; target : int }
 
-let op_to_string = function
-  | Op_join -> "join"
-  | Op_leave -> "leave"
-  | Op_exclude -> "exclude"
-
-let () =
-  Payload.register_printer (function
-    | Join t -> Some (Printf.sprintf "gm.join %d" t)
-    | Leave t -> Some (Printf.sprintf "gm.leave %d" t)
-    | View { id; members } ->
-      Some
-        (Printf.sprintf "gm.view %d {%s}" id
-           (String.concat "," (List.map string_of_int members)))
-    | Gm_change { op; target } ->
-      Some (Printf.sprintf "gm.change %s %d" (op_to_string op) target)
-    | _ -> None)
-
 let () =
   let op_code = function Op_join -> 0 | Op_leave -> 1 | Op_exclude -> 2 in
   Payload.register_codec ~tag:"gm"

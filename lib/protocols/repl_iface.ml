@@ -7,17 +7,6 @@ type Payload.t +=
   | Protocol_changed of { generation : int; protocol : string }
 
 let () =
-  Payload.register_printer (function
-    | R_broadcast { size; payload } ->
-      Some (Printf.sprintf "r-abcast size=%d %s" size (Payload.to_string payload))
-    | R_deliver { origin; payload } ->
-      Some (Printf.sprintf "r-adeliver origin=%d %s" origin (Payload.to_string payload))
-    | Change_abcast prot -> Some (Printf.sprintf "change-abcast %s" prot)
-    | Protocol_changed { generation; protocol } ->
-      Some (Printf.sprintf "protocol-changed gen=%d %s" generation protocol)
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"r-abcast"
     ~encode:(function
       | R_broadcast { size; payload } ->

@@ -15,16 +15,6 @@ type Payload.t +=
   | Wire_ack of { src : int; seq : int; attempt : int }
 
 let () =
-  Payload.register_printer (function
-    | Send { dst; size; _ } -> Some (Printf.sprintf "rp2p.send dst=%d size=%d" dst size)
-    | Recv { src; _ } -> Some (Printf.sprintf "rp2p.recv src=%d" src)
-    | Wire_data { src; seq; attempt; _ } ->
-      Some (Printf.sprintf "rp2p.data src=%d seq=%d try=%d" src seq attempt)
-    | Wire_ack { src; seq; attempt } ->
-      Some (Printf.sprintf "rp2p.ack src=%d seq=%d try=%d" src seq attempt)
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"rp2p"
     ~encode:(function
       | Send { dst; size; payload } ->

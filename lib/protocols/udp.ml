@@ -6,14 +6,6 @@ type Payload.t +=
   | Recv of { src : int; payload : Payload.t }
 
 let () =
-  Payload.register_printer (function
-    | Send { dst; size; payload } ->
-      Some (Printf.sprintf "udp.send dst=%d size=%d %s" dst size (Payload.to_string payload))
-    | Recv { src; payload } ->
-      Some (Printf.sprintf "udp.recv src=%d %s" src (Payload.to_string payload))
-    | _ -> None)
-
-let () =
   Payload.register_codec ~tag:"udp"
     ~encode:(function
       | Send { dst; size; payload } ->

@@ -80,9 +80,6 @@ let figure6_sweep ?(ns = [ 3; 7 ]) ?(loads = [ 10.0; 20.0; 40.0; 60.0; 80.0 ])
   in
   Sweep.run ?jobs ?metrics ~cells:(Array.length grid) point
 
-let figure6 ?ns ?loads ?seed ?jobs ?metrics () =
-  Array.to_list (figure6_sweep ?ns ?loads ?seed ?jobs ?metrics ()).Sweep.results
-
 let render_figure6 points =
   let buf = Buffer.create 4096 in
   let ns = List.sort_uniq Int.compare (List.map (fun p -> p.n) points) in
@@ -192,9 +189,6 @@ let headline_sweep ?(n = 7) ?(load = 40.0) ?(seeds = [ 1; 2; 3; 4; 5 ]) ?jobs
     },
     outcome.Sweep.stats )
 
-let headline ?n ?load ?seeds ?jobs ?metrics () =
-  fst (headline_sweep ?n ?load ?seeds ?jobs ?metrics ())
-
 let render_headline h =
   Ascii.table
     ~header:[ "metric"; "paper"; "measured" ]
@@ -233,9 +227,6 @@ let compare_approaches_sweep ?(n = 5) ?(load = 40.0) ?(seed = 1) ?jobs ?metrics 
   in
   let outcome = Sweep.run ?jobs ?metrics ~cells:(Array.length approaches) cell in
   (Array.to_list outcome.Sweep.results, outcome.Sweep.stats)
-
-let compare_approaches ?n ?load ?seed ?jobs ?metrics () =
-  fst (compare_approaches_sweep ?n ?load ?seed ?jobs ?metrics ())
 
 let render_comparison rows =
   Ascii.table

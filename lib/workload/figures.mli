@@ -27,20 +27,6 @@ type fig6_point = {
   during_ms : float;  (** messages sent during the replacement *)
 }
 
-val figure6 :
-  ?ns:int list ->
-  ?loads:float list ->
-  ?seed:int ->
-  ?jobs:int ->
-  ?metrics:Dpu_obs.Metrics.t ->
-  unit ->
-  fig6_point list
-(** Each (n, load) pair is one {!Sweep} cell, fanned out to [jobs]
-    worker processes (default {!Sweep.default_jobs}); results are
-    bit-identical for every [jobs]. When [metrics] is given, every
-    cell's experiment runs with metrics collection on and the
-    per-worker snapshots are merged into [metrics]. *)
-
 val figure6_sweep :
   ?ns:int list ->
   ?loads:float list ->
@@ -49,8 +35,12 @@ val figure6_sweep :
   ?metrics:Dpu_obs.Metrics.t ->
   unit ->
   fig6_point Sweep.outcome
-(** Like {!figure6} but exposing the sweep's timing stats and
-    per-worker metrics snapshots. *)
+(** Each (n, load) pair is one {!Sweep} cell, fanned out to [jobs]
+    worker processes (default {!Sweep.default_jobs}); the points
+    ([.Sweep.results], in grid order) are bit-identical for every
+    [jobs]. When [metrics] is given, every cell's experiment runs with
+    metrics collection on and the per-worker snapshots are merged into
+    [metrics]. *)
 
 val render_figure6 : fig6_point list -> string
 
@@ -63,20 +53,6 @@ type headline = {
   app_blocked_ms : float;  (** paper: never blocked (0) *)
 }
 
-val headline :
-  ?n:int ->
-  ?load:float ->
-  ?seeds:int list ->
-  ?jobs:int ->
-  ?metrics:Dpu_obs.Metrics.t ->
-  unit ->
-  headline
-(** Aggregated over [seeds] (default 1–5): one switch produces only a
-    few during-window messages, so several runs give the statistic
-    weight. Each seed is one {!Sweep} cell; the per-seed sample arrays
-    are re-folded in seed order, so the aggregate is bit-identical for
-    every [jobs]. *)
-
 val headline_sweep :
   ?n:int ->
   ?load:float ->
@@ -85,6 +61,11 @@ val headline_sweep :
   ?metrics:Dpu_obs.Metrics.t ->
   unit ->
   headline * Sweep.stats
+(** Aggregated over [seeds] (default 1–5): one switch produces only a
+    few during-window messages, so several runs give the statistic
+    weight. Each seed is one {!Sweep} cell; the per-seed sample arrays
+    are re-folded in seed order, so the aggregate is bit-identical for
+    every [jobs]. *)
 
 val render_headline : headline -> string
 
@@ -99,16 +80,6 @@ type comparison_row = {
   all_delivered : bool;
 }
 
-val compare_approaches :
-  ?n:int ->
-  ?load:float ->
-  ?seed:int ->
-  ?jobs:int ->
-  ?metrics:Dpu_obs.Metrics.t ->
-  unit ->
-  comparison_row list
-(** One {!Sweep} cell per approach. *)
-
 val compare_approaches_sweep :
   ?n:int ->
   ?load:float ->
@@ -117,5 +88,6 @@ val compare_approaches_sweep :
   ?metrics:Dpu_obs.Metrics.t ->
   unit ->
   comparison_row list * Sweep.stats
+(** One {!Sweep} cell per approach. *)
 
 val render_comparison : comparison_row list -> string

@@ -62,21 +62,6 @@ let test_service_map () =
   check (Alcotest.option Alcotest.int) "lookup" (Some 2) (Service.Map.find_opt svc_b m)
 
 (* ------------------------------------------------------------------ *)
-(* Payload                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_payload_unit_printer () =
-  check Alcotest.string "unit" "unit" (Payload.to_string Payload.Unit)
-
-let test_payload_printer_registration () =
-  check Alcotest.string "unknown" "<payload>" (Payload.to_string (Ping 1));
-  Payload.register_printer (function
-    | Ping n -> Some (Printf.sprintf "ping %d" n)
-    | _ -> None);
-  check Alcotest.string "registered" "ping 7" (Payload.to_string (Ping 7));
-  check Alcotest.string "still unknown" "<payload>" (Payload.to_string (Pong 1))
-
-(* ------------------------------------------------------------------ *)
 (* Msg                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -675,11 +660,6 @@ let () =
           tc "identity" test_service_identity;
           tc "well-known" test_service_wellknown;
           tc "map" test_service_map;
-        ] );
-      ( "payload",
-        [
-          tc "unit printer" test_payload_unit_printer;
-          tc "printer registration" test_payload_printer_registration;
         ] );
       ("msg", [ tc "ids" test_msg_ids; tc "sets" test_msg_sets ]);
       ( "trace",

@@ -164,7 +164,7 @@ let test_udp_loopback () =
       Dpu_runtime.Transport.set_handler
         (Dpu_live.Udp_transport.transport t1)
         ~node:1
-        (fun ~src p -> got := (src, Payload.to_string p) :: !got);
+        (fun ~src p -> got := (src, Payload.encode_exn p) :: !got);
       Dpu_runtime.Transport.send
         (Dpu_live.Udp_transport.transport t0)
         ~src:0 ~dst:1 ~size_bytes:32 msg;
@@ -173,7 +173,7 @@ let test_udp_loopback () =
       check
         Alcotest.(list (pair int string))
         "delivered with sender identity"
-        [ (0, Payload.to_string msg) ]
+        [ (0, Payload.encode_exn msg) ]
         (List.rev !got);
       let c = Dpu_live.Udp_transport.counters t1 in
       check Alcotest.int "delivered counter" 1 c.Dpu_runtime.Transport.delivered;
@@ -628,6 +628,22 @@ let test_serve_merged_trace_matches_collector () =
                    (List.exists (fun e -> e.Dpu_obs.Log.e_msg = "node start") entries
                    && List.exists (fun e -> e.Dpu_obs.Log.e_msg = "node stop") entries)))
 
+(* Bad parameters are refused in the parent, before any socket or fork:
+   a non-finite load used to reach every child's clock and crash it. *)
+let test_serve_rejects_bad_params () =
+  List.iter
+    (fun (label, params) ->
+      match Serve.run params with
+      | exception Invalid_argument _ -> ()
+      | Ok _ | Error _ -> Alcotest.failf "%s: forked instead of refusing" label)
+    [
+      ("n = 0", { Serve.default with n = 0 });
+      ("load = 0", { Serve.default with load = 0.0 });
+      ("load = -5", { Serve.default with load = -5.0 });
+      ("load = nan", { Serve.default with load = Float.nan });
+      ("load = inf", { Serve.default with load = Float.infinity });
+    ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "live"
@@ -667,5 +683,8 @@ let () =
           tc "traced report roundtrips" test_report_trace_roundtrip;
         ] );
       ( "deployment",
-        [ tc "merged trace matches the collector" test_serve_merged_trace_matches_collector ] );
+        [
+          tc "bad parameters refused before forking" test_serve_rejects_bad_params;
+          tc "merged trace matches the collector" test_serve_merged_trace_matches_collector;
+        ] );
     ]

@@ -122,8 +122,10 @@ let fig6_section_json points =
 
 let test_fig6_bit_identical_across_jobs () =
   let ns = [ 3 ] and loads = [ 10.0; 20.0 ] in
-  let p1 = F.figure6 ~ns ~loads ~seed:1 ~jobs:1 () in
-  let p4 = F.figure6 ~ns ~loads ~seed:1 ~jobs:4 () in
+  let points jobs =
+    Array.to_list (F.figure6_sweep ~ns ~loads ~seed:1 ~jobs ()).Sweep.results
+  in
+  let p1 = points 1 and p4 = points 4 in
   check Alcotest.int "same cell count" (List.length p1) (List.length p4);
   List.iter2
     (fun (a : F.fig6_point) (b : F.fig6_point) ->
@@ -143,8 +145,8 @@ let test_fig6_bit_identical_across_jobs () =
 
 let test_headline_bit_identical_across_jobs () =
   let seeds = [ 1; 2; 3 ] in
-  let h1 = F.headline ~n:3 ~load:20.0 ~seeds ~jobs:1 () in
-  let h3 = F.headline ~n:3 ~load:20.0 ~seeds ~jobs:3 () in
+  let h1, _ = F.headline_sweep ~n:3 ~load:20.0 ~seeds ~jobs:1 () in
+  let h3, _ = F.headline_sweep ~n:3 ~load:20.0 ~seeds ~jobs:3 () in
   check (Alcotest.float 0.0) "overhead" h1.F.layer_overhead_pct h3.F.layer_overhead_pct;
   check (Alcotest.float 0.0) "spike" h1.F.spike_pct h3.F.spike_pct;
   check (Alcotest.float 0.0) "duration" h1.F.spike_duration_ms h3.F.spike_duration_ms;
@@ -181,8 +183,8 @@ let test_merged_metrics_equal_worker_sums () =
 let test_sequential_and_parallel_metrics_agree () =
   let m1 = Metrics.create () in
   let m2 = Metrics.create () in
-  ignore (F.figure6 ~ns:[ 3 ] ~loads:[ 10.0 ] ~seed:1 ~jobs:1 ~metrics:m1 ());
-  ignore (F.figure6 ~ns:[ 3 ] ~loads:[ 10.0 ] ~seed:1 ~jobs:2 ~metrics:m2 ());
+  ignore (F.figure6_sweep ~ns:[ 3 ] ~loads:[ 10.0 ] ~seed:1 ~jobs:1 ~metrics:m1 ());
+  ignore (F.figure6_sweep ~ns:[ 3 ] ~loads:[ 10.0 ] ~seed:1 ~jobs:2 ~metrics:m2 ());
   List.iter
     (fun name ->
       check (Alcotest.float 0.0) (name ^ " agrees across -j") (Metrics.sum m1 name)
