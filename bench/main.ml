@@ -428,13 +428,6 @@ let run_ablation () =
     (W.Ascii.table ~header:[ "batch"; "load"; "mean [ms]"; "p95 [ms]" ] rows);
 
   section "Ablation: per-hop dispatch cost (stack depth sensitivity)";
-  let hops_per_message r =
-    (* Total executed dispatches across all stacks, per sent message. *)
-    let collector_sent = r.E.sent in
-    ignore collector_sent;
-    0.0
-  in
-  ignore hops_per_message;
   let dispatches_per_msg approach hop_cost =
     let profile =
       {

@@ -668,11 +668,6 @@ let check_cmd =
 (* serve — live deployment over real UDP sockets                      *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_switches (sc : Corpus.t) =
-  List.map
-    (fun (s : Corpus.switch) -> (s.Corpus.sw_at, s.Corpus.sw_node, s.Corpus.sw_to))
-    sc.Corpus.switches
-
 let serve n load duration drain switch_at initial switch_to seed msg_size batching
     check nemesis scenario_name metrics_out spans_out trace_out logs_dir =
   let params =
@@ -702,17 +697,7 @@ let serve n load duration drain switch_at initial switch_to seed msg_size batchi
         exit 2
       | Some sc ->
         Printf.printf "scenario %s: %s\n" sc.Corpus.name sc.Corpus.summary;
-        {
-          params with
-          Dpu_live.Serve.n = sc.Corpus.n;
-          load = sc.Corpus.load;
-          duration_ms = sc.Corpus.duration_ms;
-          drain_ms = sc.Corpus.drain_ms;
-          initial = sc.Corpus.initial;
-          switch_to = None;
-          switches = corpus_switches sc;
-          nemesis = sc.Corpus.schedule;
-        })
+        Dpu_live.Serve.of_scenario params sc)
   in
   (match Dpu_live.Serve.validate params with
   | () -> ()
@@ -758,12 +743,7 @@ let serve n load duration drain switch_at initial switch_to seed msg_size batchi
           Format.printf "node %d faults: %a@." r.Dpu_live.Node.node FT.pp_stats f)
       o.Dpu_live.Serve.node_reports;
     let collector = o.Dpu_live.Serve.collector in
-    let planned =
-      (match params.Dpu_live.Serve.switch_to with
-      | Some p -> [ (params.Dpu_live.Serve.switch_at_ms, 0, p) ]
-      | None -> [])
-      @ params.Dpu_live.Serve.switches
-    in
+    let planned = Dpu_live.Serve.switches params in
     if planned = [] then print_endline "no replacement requested"
     else
       List.iteri
@@ -957,20 +937,7 @@ let corpus only live seed msg_size =
       let ok =
         if live then begin
           let params =
-            {
-              Dpu_live.Serve.n = sc.Corpus.n;
-              load = sc.Corpus.load;
-              duration_ms = sc.Corpus.duration_ms;
-              drain_ms = sc.Corpus.drain_ms;
-              switch_at_ms = 0.0;
-              initial = sc.Corpus.initial;
-              switch_to = None;
-              switches = corpus_switches sc;
-              nemesis = sc.Corpus.schedule;
-              msg_size;
-              seed;
-              batching = None;
-            }
+            Dpu_live.Serve.of_scenario { Dpu_live.Serve.default with msg_size; seed } sc
           in
           match Dpu_live.Serve.run params with
           | Error msg ->

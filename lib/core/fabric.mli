@@ -28,6 +28,10 @@
 
 type t
 
+val shard_sizes : shards:int -> n:int -> int array
+(** The group sizes {!create} uses: [n] split into [shards] contiguous
+    blocks, larger blocks first. *)
+
 val create :
   ?config:Middleware.config ->
   ?register_extra:(Dpu_kernel.System.t -> unit) ->

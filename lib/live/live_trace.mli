@@ -5,18 +5,6 @@
     clock reconciliation: collector-derived spans, per-node shipped
     buffers and nemesis windows all share one time axis. *)
 
-val nemesis_pid : n:int -> int
-(** The synthetic trace process carrying fault windows — one past
-    {!Dpu_core.Spans}' replacement-timeline pid. *)
-
-val schedule_events :
-  n:int -> horizon_ms:float -> Dpu_faults.Schedule.t -> Dpu_obs.Trace_event.t list
-(** Render a nemesis schedule as trace events on the synthetic pid:
-    instants at every boundary (crash/recover, partition/heal) and
-    duration spans for each window — crash .. recover, partition ..
-    heal, loss/dup/degrade windows. Windows the schedule never closes
-    are clamped at [horizon_ms]. Empty schedule, no events. *)
-
 val merged :
   n:int ->
   horizon_ms:float ->
@@ -26,4 +14,9 @@ val merged :
   Dpu_obs.Trace_event.t list
 (** The full merged trace: {!Dpu_core.Spans.of_run} over the merged
     collector (per-message spans, install instants, replacement
-    windows), each node's own events, and {!schedule_events}. *)
+    windows), each node's own events, and the nemesis schedule on its
+    own synthetic process ([pid = n + 1], one past the replacement
+    timeline's): an instant at every boundary (crash/recover,
+    partition/heal) and a span for each window (crash .. recover,
+    partition .. heal, loss/dup/degrade), clamped at [horizon_ms] when
+    the schedule never closes it. An empty schedule adds nothing. *)

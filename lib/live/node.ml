@@ -41,7 +41,7 @@ type report = {
 
 (* Safety valve for the per-node trace buffer: a nemesis injecting per
    frame can emit thousands of instants; past this point the buffer
-   stops growing rather than bloating the report file. *)
+   stops growing rather than bloating the report. *)
 let max_trace_events = 20_000
 
 (* The kernel/dpu lane of this node's process in the trace viewer,
@@ -138,17 +138,10 @@ let run ~config ~fd ~peers () =
   in
   let mw = Middleware.of_system ~config:mw_config system in
   let clock = System.clock system in
-  (* Open-loop load, staggered so the n processes do not send in
-     phase: this node sends every [n / load] seconds. *)
-  let interval = 1000.0 *. float_of_int config.n /. config.load in
-  Clock.defer clock
-    ~delay:(interval *. float_of_int config.me /. float_of_int config.n)
-    (fun () ->
-      ignore
-        (Clock.every clock ~period:interval (fun () ->
-             if Live_clock.now lclock < config.duration_ms then
-               ignore (Middleware.broadcast mw ~node:config.me "live" : Msg.t))
-          : Clock.timer));
+  (* Open-loop load: this process hosts one node, so it sends its
+     share, staggered by its index like a simulated node's. *)
+  Dpu_workload.Load_gen.start mw ~rate_per_s:config.load ~body:"live"
+    ~until:config.duration_ms ();
   List.iter
     (fun (at, node, protocol) ->
       if node = config.me then
@@ -257,168 +250,3 @@ let run ~config ~fd ~peers () =
     metrics = Dpu_obs.Metrics.to_json metrics;
     trace = List.rev !trace;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Report (de)serialisation — children hand results to the parent as  *)
-(* JSON files.                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let stamped (id, time) =
-  J.Obj [ ("id", J.Str (Msg.id_to_string id)); ("t", J.Float time) ]
-
-let report_to_json r =
-  let c = r.counters in
-  (* "faults" is only present on nemesis runs, and readers must accept
-     its absence: clean-run reports keep the pre-nemesis shape (modulo
-     the additive "rx_errors" counter). *)
-  let faults_fields =
-    match r.faults with
-    | None -> []
-    | Some f ->
-      [
-        ( "faults",
-          J.Obj
-            [
-              ("blocked_crash", J.Int f.Dpu_faults.Fault_transport.blocked_crash);
-              ("blocked_partition", J.Int f.blocked_partition);
-              ("injected_loss", J.Int f.injected_loss);
-              ("injected_dup", J.Int f.injected_dup);
-              ("delayed", J.Int f.delayed);
-              ("rx_blocked", J.Int f.rx_blocked);
-            ] );
-      ]
-  in
-  J.Obj
-    ([
-       ("node", J.Int r.node);
-       ("sends", J.List (List.map stamped r.sends));
-       ("delivers", J.List (List.map stamped r.delivers));
-       ( "switches",
-         J.List
-           (List.map
-              (fun (g, time) ->
-                J.Obj [ ("generation", J.Int g); ("t", J.Float time) ])
-              r.switches) );
-       ( "transport",
-         J.Obj
-           ([
-              ("sent", J.Int c.Dpu_runtime.Transport.sent);
-              ("delivered", J.Int c.Dpu_runtime.Transport.delivered);
-              ("dropped", J.Int c.Dpu_runtime.Transport.dropped);
-              ("bytes", J.Int c.Dpu_runtime.Transport.bytes);
-              ("rx_errors", J.Int r.rx_errors);
-            ]
-           (* Additive, throughput-mode only: absent on unbatched runs
-              so pre-batching readers see the old shape. *)
-           @
-           match r.batches with
-           | None -> []
-           | Some b ->
-             [
-               ("batches_sent", J.Int b.Dpu_runtime.Transport.batches_sent);
-               ("batched_msgs", J.Int b.Dpu_runtime.Transport.batched_msgs);
-             ]) );
-     ]
-    @ faults_fields
-    (* "trace" is additive too: absent on trace-off runs (and in every
-       pre-observability report), so readers must default it empty. *)
-    @ (match r.trace with
-      | [] -> []
-      | events -> [ ("trace", J.List (List.map TE.event_json events)) ])
-    @ [ ("metrics", r.metrics) ])
-
-let parse_fail fmt = Printf.ksprintf (fun msg -> failwith msg) fmt
-
-let get j name =
-  match J.member j name with
-  | Some v -> v
-  | None -> parse_fail "live report: missing field %S" name
-
-let get_int j name =
-  match J.to_int_opt (get j name) with
-  | Some v -> v
-  | None -> parse_fail "live report: field %S is not an int" name
-
-let get_float j name =
-  match J.to_float_opt (get j name) with
-  | Some v -> v
-  | None -> parse_fail "live report: field %S is not a number" name
-
-let get_list j name =
-  match J.to_list_opt (get j name) with
-  | Some l -> l
-  | None -> parse_fail "live report: field %S is not a list" name
-
-let parse_stamped j =
-  let id =
-    match J.to_string_opt (get j "id") with
-    | Some s -> Dpu_props.Abcast_props.id_of_string_exn s
-    | None -> parse_fail "live report: message id is not a string"
-  in
-  (id, get_float j "t")
-
-let report_of_json j =
-  match
-    let transport = get j "transport" in
-    (* Optional fields default: reports written by pre-nemesis builds
-       (and clean runs) stay parseable. *)
-    let rx_errors =
-      match J.member transport "rx_errors" with
-      | None -> 0
-      | Some v -> (
-        match J.to_int_opt v with
-        | Some v -> v
-        | None -> parse_fail "live report: field \"rx_errors\" is not an int")
-    in
-    let faults =
-      match J.member j "faults" with
-      | None -> None
-      | Some f ->
-        Some
-          {
-            Dpu_faults.Fault_transport.blocked_crash = get_int f "blocked_crash";
-            blocked_partition = get_int f "blocked_partition";
-            injected_loss = get_int f "injected_loss";
-            injected_dup = get_int f "injected_dup";
-            delayed = get_int f "delayed";
-            rx_blocked = get_int f "rx_blocked";
-          }
-    in
-    {
-      node = get_int j "node";
-      sends = List.map parse_stamped (get_list j "sends");
-      delivers = List.map parse_stamped (get_list j "delivers");
-      switches =
-        List.map
-          (fun s -> (get_int s "generation", get_float s "t"))
-          (get_list j "switches");
-      counters =
-        {
-          Dpu_runtime.Transport.sent = get_int transport "sent";
-          delivered = get_int transport "delivered";
-          dropped = get_int transport "dropped";
-          bytes = get_int transport "bytes";
-        };
-      batches =
-        (match J.member transport "batches_sent" with
-        | None -> None
-        | Some _ ->
-          Some
-            {
-              Dpu_runtime.Transport.batches_sent = get_int transport "batches_sent";
-              batched_msgs = get_int transport "batched_msgs";
-            });
-      rx_errors;
-      faults;
-      metrics = get j "metrics";
-      trace =
-        (match J.member j "trace" with
-        | None -> []
-        | Some t -> (
-          match TE.events_of_json t with
-          | Ok events -> events
-          | Error e -> parse_fail "live report: %s" e));
-    }
-  with
-  | r -> Ok r
-  | exception Failure msg -> Error msg

@@ -2,11 +2,15 @@
     clock and UDP transport, driven by a [select] event loop.
 
     The process hosts exactly one node of the group. It generates its
-    share of the open-loop load, participates in every protocol
+    share of the open-loop load ({!Dpu_workload.Load_gen.start}, which
+    drives only the local node), participates in every protocol
     (consensus, ABcast, the replacement layer), triggers whichever
     mid-stream protocol swaps are assigned to it, and on completion
     returns a {!report} of everything its local {!Dpu_core.Collector}
-    observed — the parent merges these into the run-wide record.
+    observed. {!Serve} runs it as a {!Dpu_workload.Sweep} cell, so the
+    report reaches the parent as a value through Sweep's result pipe
+    (it is closure-free data); the parent merges the reports into the
+    run-wide record.
 
     When [nemesis] is non-empty the UDP transport is wrapped in
     {!Dpu_faults.Fault_transport} on this node's live clock: every
@@ -58,8 +62,7 @@ type report = {
   metrics : Dpu_obs.Json.t;
   trace : Dpu_obs.Trace_event.t list;
       (** this process's trace events, pid = node, timestamps in ms
-          since the shared epoch; [[]] when tracing was off (and in
-          reports written by pre-observability builds) *)
+          since the shared epoch; [[]] when tracing was off *)
 }
 
 val run :
@@ -67,7 +70,3 @@ val run :
   report
 (** Run the node to completion ([duration_ms + drain_ms] of wall
     time). [fd] must already be bound to [peers.(config.me)]. *)
-
-val report_to_json : report -> Dpu_obs.Json.t
-
-val report_of_json : Dpu_obs.Json.t -> (report, string) result

@@ -78,6 +78,22 @@ let switches params =
   | None -> [])
   @ params.switches
 
+let of_scenario base (sc : Dpu_workload.Corpus.t) =
+  {
+    base with
+    n = sc.n;
+    load = sc.load;
+    duration_ms = sc.duration_ms;
+    drain_ms = sc.drain_ms;
+    initial = sc.initial;
+    switch_to = None;
+    switches =
+      List.map
+        (fun (s : Dpu_workload.Corpus.switch) -> (s.sw_at, s.sw_node, s.sw_to))
+        sc.switches;
+    nemesis = sc.schedule;
+  }
+
 let validate params =
   if params.n < 1 then invalid_arg "Serve.run: need at least one node";
   if not (Float.is_finite params.load && params.load > 0.0) then
@@ -88,9 +104,11 @@ let validate params =
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "Serve.run: nemesis: %s" msg));
   List.iter
-    (fun (_, node, _) ->
+    (fun (at, node, _) ->
       if node < 0 || node >= params.n then
-        invalid_arg (Printf.sprintf "Serve.run: switch node %d out of range" node))
+        invalid_arg (Printf.sprintf "Serve.run: switch node %d out of range" node);
+      if not (Float.is_finite at && at >= 0.0) then
+        invalid_arg (Printf.sprintf "Serve.run: switch at %g ms is not finite and >= 0" at))
     (switches params)
 
 let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
@@ -103,10 +121,6 @@ let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
     (fun fd -> Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)))
     fds;
   let peers = Array.map Unix.getsockname fds in
-  let report_paths =
-    Array.init params.n (fun i ->
-        Filename.temp_file (Printf.sprintf "dpu-live-node%d-" i) ".json")
-  in
   let epoch = Unix.gettimeofday () in
   (* Stamped into every envelope: frames from an earlier deployment
      that bound the same ports are shed at the transport. *)
@@ -115,133 +129,90 @@ let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
   | None -> ()
   | Some dir -> (
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()));
-  let log_path_of me =
-    Option.map
-      (fun dir -> Filename.concat dir (Printf.sprintf "node-%d.jsonl" me))
-      logs_dir
-  in
-  flush stdout;
-  flush stderr;
-  let pids =
-    Array.init params.n (fun me ->
-        match Unix.fork () with
-        | 0 ->
-          let status =
-            try
-              Array.iteri (fun i fd -> if i <> me then Unix.close fd) fds;
-              let config =
-                {
-                  Node.me;
-                  n = params.n;
-                  epoch;
-                  service = "dpu";
-                  generation;
-                  initial = params.initial;
-                  switches;
-                  nemesis = params.nemesis;
-                  load = params.load;
-                  msg_size = params.msg_size;
-                  batching = params.batching;
-                  duration_ms = params.duration_ms;
-                  drain_ms = params.drain_ms;
-                  seed = params.seed;
-                  trace_enabled = trace_out <> None;
-                  log_path = log_path_of me;
-                }
-              in
-              let report = Node.run ~config ~fd:fds.(me) ~peers () in
-              J.to_file report_paths.(me) (Node.report_to_json report);
-              0
-            with e ->
-              Printf.eprintf "dpu live node %d: %s\n%!" me (Printexc.to_string e);
-              3
-          in
-          (* Never return into the caller: no [at_exit], no replaying
-             of buffers inherited from the parent (cf. Sweep). *)
-          Unix._exit status
-        | pid -> pid)
-  in
-  Array.iter Unix.close fds;
-  let failed = ref [] in
-  Array.iteri
-    (fun me pid ->
-      match snd (Unix.waitpid [] pid) with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED c -> failed := Printf.sprintf "node %d exited %d" me c :: !failed
-      | Unix.WSIGNALED s -> failed := Printf.sprintf "node %d killed by signal %d" me s :: !failed
-      | Unix.WSTOPPED s -> failed := Printf.sprintf "node %d stopped by signal %d" me s :: !failed)
-    pids;
-  let cleanup () =
-    Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) report_paths
-  in
-  if !failed <> [] then begin
-    cleanup ();
-    Error (String.concat "; " (List.rev !failed))
-  end
-  else begin
-    let parsed =
-      List.init params.n (fun me ->
-          let path = report_paths.(me) in
-          let content = In_channel.with_open_text path In_channel.input_all in
-          match J.of_string content with
-          | Error e -> Error (Printf.sprintf "node %d report: %s" me e)
-          | Ok j -> (
-            match Node.report_of_json j with
-            | Error e -> Error (Printf.sprintf "node %d report: %s" me e)
-            | Ok r -> Ok r))
+  let node me =
+    (* One worker per cell: a forked worker keeps only its own socket. *)
+    Array.iteri (fun i fd -> if i <> me then Unix.close fd) fds;
+    let config =
+      {
+        Node.me;
+        n = params.n;
+        epoch;
+        service = "dpu";
+        generation;
+        initial = params.initial;
+        switches;
+        nemesis = params.nemesis;
+        load = params.load;
+        msg_size = params.msg_size;
+        batching = params.batching;
+        duration_ms = params.duration_ms;
+        drain_ms = params.drain_ms;
+        seed = params.seed;
+        trace_enabled = trace_out <> None;
+        log_path =
+          Option.map
+            (fun dir -> Filename.concat dir (Printf.sprintf "node-%d.jsonl" me))
+            logs_dir;
+      }
     in
-    cleanup ();
-    match
-      List.partition_map
-        (function Ok r -> Either.Left r | Error e -> Either.Right e)
-        parsed
-    with
-    | _, (_ :: _ as errors) -> Error (String.concat "; " errors)
-    | node_reports, [] ->
-      let collector = merge_reports node_reports in
-      (* Nodes the nemesis silences for good make no promises — the
-         properties quantify over the nodes that stay correct. *)
-      let silenced =
-        Dpu_faults.Schedule.crashed_before params.nemesis ~time:infinity
+    Node.run ~config ~fd:fds.(me) ~peers ()
+  in
+  match
+    Fun.protect
+      ~finally:(fun () -> Array.iter Unix.close fds)
+      (fun () -> Dpu_workload.Sweep.map ~jobs:params.n ~cells:params.n node)
+  with
+  | exception Dpu_workload.Sweep.Worker_failed { worker; reason } ->
+    Error (Printf.sprintf "node %d: %s" worker reason)
+  | exception e when params.n = 1 ->
+    (* Sweep forks nothing for one cell: the node ran in this process,
+       and its exception is the failure a forked node would report. *)
+    Error ("node 0: worker raised: " ^ Printexc.to_string e)
+  | reports ->
+    let node_reports = Array.to_list reports in
+    let collector = merge_reports node_reports in
+    (* Nodes the nemesis silences for good make no promises — the
+       properties quantify over the nodes that stay correct. *)
+    let silenced =
+      Dpu_faults.Schedule.crashed_before params.nemesis ~time:infinity
+    in
+    let correct =
+      List.filter
+        (fun node -> not (List.mem node silenced))
+        (List.init params.n Fun.id)
+    in
+    let checks = Dpu_props.Abcast_props.check_all collector ~correct in
+    (match metrics_out with
+    | Some path ->
+      J.to_file path
+        (J.Obj
+           [
+             ( "nodes",
+               J.List
+                 (List.map
+                    (fun (r : Node.report) ->
+                      J.Obj
+                        [
+                          ("node", J.Int r.Node.node);
+                          ("transport", counters_json r.Node.counters);
+                          ("metrics", r.Node.metrics);
+                        ])
+                    node_reports) );
+           ])
+    | None -> ());
+    (match spans_out with
+    | Some path ->
+      let events = Dpu_core.Spans.of_run ~n:params.n collector in
+      J.to_file path (Dpu_core.Spans.to_json events)
+    | None -> ());
+    (match trace_out with
+    | Some path ->
+      let events =
+        Live_trace.merged ~n:params.n
+          ~horizon_ms:(params.duration_ms +. params.drain_ms)
+          ~nemesis:params.nemesis ~collector
+          ~node_traces:(List.map (fun (r : Node.report) -> r.Node.trace) node_reports)
       in
-      let correct =
-        List.filter
-          (fun node -> not (List.mem node silenced))
-          (List.init params.n Fun.id)
-      in
-      let checks = Dpu_props.Abcast_props.check_all collector ~correct in
-      (match metrics_out with
-      | Some path ->
-        J.to_file path
-          (J.Obj
-             [
-               ( "nodes",
-                 J.List
-                   (List.map
-                      (fun (r : Node.report) ->
-                        J.Obj
-                          [
-                            ("node", J.Int r.Node.node);
-                            ("transport", counters_json r.Node.counters);
-                            ("metrics", r.Node.metrics);
-                          ])
-                      node_reports) );
-             ])
-      | None -> ());
-      (match spans_out with
-      | Some path ->
-        let events = Dpu_core.Spans.of_run ~n:params.n collector in
-        J.to_file path (Dpu_core.Spans.to_json events)
-      | None -> ());
-      (match trace_out with
-      | Some path ->
-        let events =
-          Live_trace.merged ~n:params.n
-            ~horizon_ms:(params.duration_ms +. params.drain_ms)
-            ~nemesis:params.nemesis ~collector
-            ~node_traces:(List.map (fun (r : Node.report) -> r.Node.trace) node_reports)
-        in
-        J.to_file path (Dpu_obs.Trace_event.to_json events)
-      | None -> ());
-      Ok { node_reports; collector; checks }
-  end
+      J.to_file path (Dpu_obs.Trace_event.to_json events)
+    | None -> ());
+    Ok { node_reports; collector; checks }

@@ -1,17 +1,20 @@
 (** Multi-process live deployment on localhost.
 
-    [run] binds [n] UDP sockets on 127.0.0.1 (ephemeral ports), forks
-    one OS process per node — each inheriting its socket and the full
-    peer address table — and lets them run the complete DPU stack
+    [run] binds [n] UDP sockets on 127.0.0.1 (ephemeral ports) and
+    runs one node per {!Dpu_workload.Sweep} worker: [Sweep.map ~jobs:n
+    ~cells:n] forks one OS process per node (none when [n = 1]: the
+    single node runs in this process), each inheriting its socket and
+    the full peer address table. The nodes run the complete DPU stack
     under open-loop load for [duration_ms], with node 0 triggering an
     ABcast replacement (Algorithm 1 of the paper) at [switch_at_ms].
-    Children report what their local collectors saw; the parent merges
-    everything onto the shared time axis and checks the four atomic
-    broadcast properties of §5.1 across the replacement — the live
-    counterpart of the simulator's {!Dpu_workload.Experiment.check}.
+    Each worker returns its node's {!Node.report} through Sweep's
+    result pipe; the parent merges the reports onto the shared time
+    axis and checks the four atomic broadcast properties of §5.1
+    across the replacement — the live counterpart of the simulator's
+    {!Dpu_workload.Experiment.check}.
 
-    A non-empty [nemesis] schedule is inherited by every child through
-    the fork and interpreted by a per-process
+    A non-empty [nemesis] schedule reaches every node in its
+    {!Node.config} and is interpreted by a per-process
     {!Dpu_faults.Fault_transport} shim, so the whole deployment lives
     through the same scripted adversity; nodes the schedule
     crash-silences for good are excluded from the [~correct] set the
@@ -24,13 +27,13 @@
     Chrome trace-event spans of the merged run.
 
     [trace_out] goes further: it turns per-node trace recording on
-    (each child records switch triggers, fault injections and
+    (each node records switch triggers, fault injections and
     start/stop marks against the shared epoch, shipped in its report)
     and writes ONE merged Chrome trace — collector spans, every node's
     events and the nemesis schedule as fault windows — loadable in
-    Perfetto. [logs_dir] gives each child a structured JSONL log file
-    ([node-<i>.jsonl], created on demand); with neither given, children
-    run with tracing off and the noop logger, exactly as before. *)
+    Perfetto. [logs_dir] gives each node a structured JSONL log file
+    ([node-<i>.jsonl], created on demand); with neither given, nodes
+    run with tracing off and the noop logger. *)
 
 type params = {
   n : int;
@@ -62,10 +65,21 @@ type outcome = {
   checks : Dpu_props.Report.t list;
 }
 
+val switches : params -> (float * int * string) list
+(** Every planned replacement as [(at_ms, node, target)], in generation
+    order: the [switch_to]/[switch_at_ms] pair (from node 0) first, then
+    [switches]. *)
+
+val of_scenario : params -> Dpu_workload.Corpus.t -> params
+(** The corpus scenario as a live deployment: its group size, load,
+    timing, initial protocol, switches and fault schedule over [base]'s
+    message size, seed and batching. *)
+
 val validate : params -> unit
 (** Raises [Invalid_argument] when [n < 1], [load] is not finite and
-    positive, or the nemesis schedule or a switch targets a node out of
-    range — everything {!run} checks before it forks. *)
+    positive, the nemesis schedule or a switch targets a node out of
+    range, or a switch time is not finite and >= 0 — everything {!run}
+    checks before it forks. *)
 
 val run :
   ?metrics_out:string ->
@@ -74,5 +88,7 @@ val run :
   ?logs_dir:string ->
   params ->
   (outcome, string) result
-(** {!validate}, then fork. [Error] on child crash or unreadable
-    report; property violations are not an error — inspect [checks]. *)
+(** {!validate}, then run the nodes. [Error] when a node dies or raises
+    ({!Dpu_workload.Sweep.Worker_failed}, or the in-process node's
+    exception when [n = 1]). Property violations are not an error —
+    inspect [checks]. *)

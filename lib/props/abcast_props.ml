@@ -1,11 +1,6 @@
 open Dpu_kernel
 module Collector = Dpu_core.Collector
 
-let id_of_string_exn s =
-  match String.split_on_char '.' s with
-  | [ origin; seq ] -> { Msg.origin = int_of_string origin; seq = int_of_string seq }
-  | _ -> invalid_arg "id_of_string_exn"
-
 let validity collector ~correct =
   let checked = ref 0 in
   let violations =

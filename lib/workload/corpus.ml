@@ -122,28 +122,7 @@ let names () = List.map (fun s -> s.name) all
 
 let find name = List.find_opt (fun s -> s.name = name) all
 
-let validate t =
-  match Schedule.validate ~n:t.n t.schedule with
-  | Error _ as e -> e
-  | Ok () ->
-    List.fold_left
-      (fun acc s ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-          if s.sw_node < 0 || s.sw_node >= t.n then
-            Error
-              (Printf.sprintf "switch at %g: node %d out of range [0, %d)" s.sw_at
-                 s.sw_node t.n)
-          else if s.sw_at < 0.0 then
-            Error (Printf.sprintf "switch at negative time %g" s.sw_at)
-          else Ok ())
-      (Ok ()) t.switches
-
 let spec ?(seed = 1) t =
-  (match validate t with
-  | Ok () -> ()
-  | Error msg -> invalid_arg (Printf.sprintf "Corpus.spec %s: %s" t.name msg));
   let mw = Dpu_core.Middleware.default_config in
   {
     Run.n = t.n;
@@ -170,3 +149,8 @@ let spec ?(seed = 1) t =
         (fun s -> { Run.at_ms = s.sw_at; shard = 0; node = s.sw_node; action = Run.Abcast s.sw_to })
         t.switches;
   }
+
+let validate t =
+  match Run.validate (spec t) with
+  | () -> Ok ()
+  | exception Invalid_argument msg -> Error msg

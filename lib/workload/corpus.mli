@@ -34,10 +34,11 @@ val names : unit -> string list
 
 val find : string -> t option
 
-val validate : t -> (unit, string) result
-(** The fault schedule and every switch target a node in range. *)
-
 val spec : ?seed:int -> t -> Run.spec
 (** The scenario as a one-group simulated run (default [seed] 1, 1 KB
-    messages, trace off, 30 s of grace after [drain_ms]). Raises
-    [Invalid_argument] if {!validate} rejects the scenario. *)
+    messages, trace off, 30 s of grace after [drain_ms]). {!Run.exec}
+    rejects it if {!validate} does. *)
+
+val validate : t -> (unit, string) result
+(** {!Run.validate} on {!spec}: the fault schedule, the load and every
+    switch (node in range, time finite and >= 0). *)

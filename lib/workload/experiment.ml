@@ -35,8 +35,6 @@ type params = {
   hop_cost : float;
   trace_enabled : bool;
   metrics_enabled : bool;
-  pattern : Load_gen.pattern;
-  during_margin_ms : float;
   consensus_layer : string option;
   switch_consensus : (float * string) option;
   faults : Dpu_faults.Schedule.t;
@@ -62,8 +60,6 @@ let default =
     hop_cost = 0.5;
     trace_enabled = false;
     metrics_enabled = false;
-    pattern = Load_gen.Poisson;
-    during_margin_ms = 50.0;
     consensus_layer = None;
     switch_consensus = None;
     faults = [];
@@ -189,7 +185,7 @@ let spec params =
       };
     register_extra = Some register_extra;
     faults = params.faults;
-    load = Run.Open { rate_per_s = params.load; pattern = params.pattern };
+    load = Run.Open { rate_per_s = params.load; pattern = Load_gen.Poisson };
     until_ms = params.duration_ms;
     warmup_ms = params.warmup_ms;
     drain_ms = 120_000.0;
@@ -204,6 +200,12 @@ let log_trigger log (t : Run.trigger) =
   | Run.Abcast p ->
     Log.info log "switch trigger" ~fields:[ ("node", Json.Int t.node); ("target", Json.Str p) ]
   | Run.Consensus p -> Log.info log "consensus switch trigger" ~fields:[ ("target", Json.Str p) ]
+
+(* Messages sent up to this long after the last stack switched are
+   still attributed to the replacement: the fresh protocol's first
+   instances are its cold start (the paper's spike decays over a short
+   period after the switch, Fig. 5). *)
+let during_margin_ms = 50.0
 
 let run params =
   let spec = spec params in
@@ -240,13 +242,9 @@ let run params =
     | (_, Some (_first, last)) :: _ -> Some (params.switch_at_ms, last)
     | (_, None) :: _ | [] -> None
   in
-  (* Messages sent up to [during_margin_ms] after the last stack
-     switched are still attributed to the replacement: the fresh
-     protocol's first instances are its cold start (the paper's spike
-     decays over a short period after the switch, Fig. 5). *)
   let during_range =
     match switch_window with
-    | Some (lo, hi) -> Some (lo, hi +. params.during_margin_ms)
+    | Some (lo, hi) -> Some (lo, hi +. during_margin_ms)
     | None -> None
   in
   let normal = Stats.create () in

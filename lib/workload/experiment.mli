@@ -22,7 +22,7 @@ val approach_name : approach -> string
 type params = {
   n : int;
   seed : int;
-  load : float;  (** total messages per second *)
+  load : float;  (** total messages per second, Poisson arrivals *)
   duration_ms : float;  (** load generation horizon *)
   warmup_ms : float;  (** excluded from the "normal" statistics *)
   msg_size : int;
@@ -41,10 +41,6 @@ type params = {
       (** allocate a live metrics registry (default off: all
           instrumentation is no-op and results are bit-identical to a
           run without observability) *)
-  pattern : Load_gen.pattern;  (** arrival process (default Poisson) *)
-  during_margin_ms : float;
-      (** messages sent this long after the last stack switched still
-          count as "during the replacement" (cold-start tail) *)
   consensus_layer : string option;
       (** install the consensus replacement layer on this initial
           implementation *)
@@ -78,7 +74,7 @@ type result = {
   run : Run.result;  (** the underlying run, one group *)
   latency : Series.t;  (** avg latency per message, keyed by send time *)
   normal : Stats.t;  (** messages sent outside the replacement window *)
-  during : Stats.t;  (** messages sent inside it *)
+  during : Stats.t;  (** sent inside it or up to 50 ms after (cold-start tail) *)
   switch_window : (float * float) option;
       (** [(trigger, last stack switched)] *)
   switch_duration_ms : float;  (** window width; 0 when no switch *)

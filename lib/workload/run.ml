@@ -53,10 +53,21 @@ let validate s =
   (match Schedule.validate ~n:s.n s.faults with
   | Ok () -> ()
   | Error msg -> fail "fault schedule: %s" msg);
-  match s.load with
+  (match s.load with
   | Open { rate_per_s; _ } when not (Float.is_finite rate_per_s && rate_per_s > 0.0) ->
     fail "load must be a finite rate > 0 msg/s (got %g)" rate_per_s
-  | Open _ | Closed _ -> ()
+  | Open _ | Closed _ -> ());
+  let sizes = Dpu_core.Fabric.shard_sizes ~shards:s.shards ~n:s.n in
+  List.iter
+    (fun t ->
+      if not (Float.is_finite t.at_ms && t.at_ms >= 0.0) then
+        fail "trigger at %g ms: time must be finite and >= 0" t.at_ms;
+      if t.shard < 0 || t.shard >= s.shards then
+        fail "trigger at %g ms: shard %d out of range [0, %d)" t.at_ms t.shard s.shards;
+      if t.node < 0 || t.node >= sizes.(t.shard) then
+        fail "trigger at %g ms: node %d out of range [0, %d) in shard %d" t.at_ms
+          t.node sizes.(t.shard) t.shard)
+    s.triggers
 
 let build s =
   let open Dpu_core in

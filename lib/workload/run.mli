@@ -42,8 +42,9 @@ type spec = {
 val validate : spec -> unit
 (** Raises [Invalid_argument] when [shards < 1], [n < shards], a fault
     schedule is given with [shards > 1] or fails
-    {!Dpu_faults.Schedule.validate}, or an open-loop rate is not finite
-    and > 0. *)
+    {!Dpu_faults.Schedule.validate}, an open-loop rate is not finite
+    and > 0, or a trigger names a shard or group-local node out of
+    range or a time that is not finite and >= 0. *)
 
 type group = {
   mw : Dpu_core.Middleware.t;

@@ -18,7 +18,13 @@
     A worker that dies (crash, kill, uncaught exception) surfaces as
     {!Worker_failed} in the parent — never a hang: the parent drains
     each worker's pipe to EOF in worker order and checks its exit
-    status. *)
+    status.
+
+    Sweep also hosts the live deployment ([Dpu_live.Serve]): with
+    [jobs = cells = n] each worker runs exactly one node, all at the
+    same time. Those cells talk to each other over UDP while they run,
+    but each stops on its own wall-clock deadline and only then writes
+    its result, so draining in worker order still cannot deadlock. *)
 
 exception Worker_failed of { worker : int; reason : string }
 (** A worker exited abnormally or its result stream was cut short.

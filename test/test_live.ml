@@ -500,63 +500,12 @@ let test_wheel_profile_counters () =
   check Alcotest.int "both zero-delay entries cascaded" 2 (Wheel.cascades w)
 
 (* ------------------------------------------------------------------ *)
-(* Report compatibility and the merged live trace                     *)
+(* Live deployments                                                   *)
 (* ------------------------------------------------------------------ *)
 
-module Node = Dpu_live.Node
 module Serve = Dpu_live.Serve
 module Json = Dpu_obs.Json
 module Spans = Dpu_core.Spans
-
-(* A report exactly as a pre-observability build wrote it: no "trace"
-   field (and no "faults" — a clean run). Newer parsers must accept it
-   and default the trace empty; dropping this shape would break mixed
-   parent/child version rollouts and archived artifacts. *)
-let pre_observability_report =
-  {|{"node":1,
-     "sends":[{"id":"1.1","t":12.5}],
-     "delivers":[{"id":"1.1","t":14.0},{"id":"0.3","t":15.25}],
-     "switches":[{"generation":1,"t":30.0}],
-     "transport":{"sent":4,"delivered":3,"dropped":1,"bytes":4096,"rx_errors":0},
-     "metrics":{"schema":"dpu.metrics/1","metrics":[]}}|}
-
-let test_report_pre_observability_parses () =
-  match Json.of_string pre_observability_report with
-  | Error e -> Alcotest.fail ("fixture does not parse as JSON: " ^ e)
-  | Ok j -> (
-    match Node.report_of_json j with
-    | Error e -> Alcotest.fail ("pre-observability report rejected: " ^ e)
-    | Ok r ->
-      check Alcotest.int "node" 1 r.Node.node;
-      check Alcotest.int "sends" 1 (List.length r.Node.sends);
-      check Alcotest.int "delivers" 2 (List.length r.Node.delivers);
-      check Alcotest.bool "faults default None" true (r.Node.faults = None);
-      check Alcotest.bool "trace defaults empty" true (r.Node.trace = []);
-      (* And a trace-off report written by THIS build keeps that shape:
-         re-serialising must not introduce the field. *)
-      let j' = Node.report_to_json r in
-      check Alcotest.bool "trace field stays absent" true
-        (Json.member j' "trace" = None))
-
-let test_report_trace_roundtrip () =
-  match Json.of_string pre_observability_report with
-  | Error e -> Alcotest.fail e
-  | Ok j -> (
-    match Node.report_of_json j with
-    | Error e -> Alcotest.fail e
-    | Ok r ->
-      let trace =
-        [
-          Dpu_obs.Trace_event.instant ~name:"node start" ~cat:"node" ~pid:1 ~tid:1
-            ~ts_ms:0.5 ();
-          Dpu_obs.Trace_event.instant ~name:"injected_loss src=1 dst=0" ~cat:"fault"
-            ~pid:1 ~tid:1 ~ts_ms:20.0 ();
-        ]
-      in
-      let r = { r with Node.trace } in
-      match Node.report_of_json (Node.report_to_json r) with
-      | Error e -> Alcotest.fail ("traced report did not parse back: " ^ e)
-      | Ok r' -> check Alcotest.bool "trace roundtrips" true (r'.Node.trace = trace))
 
 (* A short real deployment with [trace_out]: the windows recoverable
    from the merged Chrome trace must be exactly the windows the parent
@@ -628,6 +577,44 @@ let test_serve_merged_trace_matches_collector () =
                    (List.exists (fun e -> e.Dpu_obs.Log.e_msg = "node start") entries
                    && List.exists (fun e -> e.Dpu_obs.Log.e_msg = "node stop") entries)))
 
+(* One node runs in this process (Sweep forks only for two or more
+   cells): the deployment still completes its switch and passes the
+   battery. *)
+let test_serve_single_node_in_process () =
+  let params =
+    {
+      Serve.default with
+      n = 1;
+      load = 20.0;
+      duration_ms = 1_000.0;
+      drain_ms = 500.0;
+      switch_at_ms = 400.0;
+    }
+  in
+  match Serve.run params with
+  | Error e -> Alcotest.fail ("single-node deployment failed: " ^ e)
+  | Ok outcome ->
+    check Alcotest.int "one report" 1 (List.length outcome.Serve.node_reports);
+    check Alcotest.bool "the node sent" true
+      (Dpu_core.Collector.send_count outcome.Serve.collector > 0);
+    check Alcotest.bool "the switch completed" true
+      (Dpu_core.Collector.switch_window outcome.Serve.collector ~generation:1 <> None);
+    check Alcotest.bool "battery passes" true
+      (Dpu_props.Report.all_ok outcome.Serve.checks)
+
+(* A node that raises is an [Error], whether it ran in a forked worker
+   or (n = 1) in this process. *)
+let test_serve_failing_node_is_error () =
+  List.iter
+    (fun n ->
+      let params =
+        { Serve.default with n; initial = "no-such-protocol"; duration_ms = 200.0; drain_ms = 100.0 }
+      in
+      match Serve.run params with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "n = %d: an unknown protocol ran" n)
+    [ 1; 2 ]
+
 (* Bad parameters are refused in the parent, before any socket or fork:
    a non-finite load used to reach every child's clock and crash it. *)
 let test_serve_rejects_bad_params () =
@@ -642,6 +629,9 @@ let test_serve_rejects_bad_params () =
       ("load = -5", { Serve.default with load = -5.0 });
       ("load = nan", { Serve.default with load = Float.nan });
       ("load = inf", { Serve.default with load = Float.infinity });
+      ("switch at -5 ms", { Serve.default with switch_at_ms = -5.0 });
+      ("switch at nan", { Serve.default with switch_at_ms = Float.nan });
+      ("extra switch at -1 ms", { Serve.default with switches = [ (-1.0, 1, "abcast.ct") ] });
     ]
 
 let () =
@@ -677,14 +667,11 @@ let () =
         ] );
       ( "fault-shim",
         [ tc "loss window restores over real UDP" test_live_shim_loss_window_restores ] );
-      ( "reports",
-        [
-          tc "pre-observability report parses" test_report_pre_observability_parses;
-          tc "traced report roundtrips" test_report_trace_roundtrip;
-        ] );
       ( "deployment",
         [
           tc "bad parameters refused before forking" test_serve_rejects_bad_params;
           tc "merged trace matches the collector" test_serve_merged_trace_matches_collector;
+          tc "single node runs in process" test_serve_single_node_in_process;
+          tc "failing node is an error" test_serve_failing_node_is_error;
         ] );
     ]

@@ -347,9 +347,8 @@ let test_trace_event_negative_duration_clamped () =
       (Option.bind (Json.member ev "dur") Json.to_float_opt)
   | _ -> fail "expected one event"
 
-(* The live path serialises each node's trace buffer into its report
-   and the parent parses it back: of_json must invert event_json for
-   every phase this module emits. *)
+(* `dpu_run report` reads a merged trace artifact back: of_json must
+   invert event_json for every phase this module emits. *)
 let test_trace_event_parse_roundtrip () =
   let events =
     [

@@ -438,6 +438,33 @@ let test_shard_determinism () =
   let b = W.Shard.run shard_small in
   check Alcotest.bool "identical runs" true (quantiles a = quantiles b)
 
+(* An out-of-range trigger used to pass validation and fail mid-run
+   with a bare "index out of bounds" (node 7 of 3, 100 ms in); a
+   negative time was accepted silently. *)
+let test_run_rejects_bad_triggers () =
+  let one_group = { W.Shard.default with n = 3; shards = 1 } in
+  let trigger ?(shard = 0) ?(node = 0) at_ms =
+    { W.Run.at_ms; shard; node; action = W.Run.Abcast Dpu_core.Variants.sequencer }
+  in
+  List.iter
+    (fun (label, spec, t) ->
+      match W.Run.validate { spec with W.Run.triggers = [ t ] } with
+      | exception Invalid_argument _ -> ()
+      | () -> fail (label ^ " accepted"))
+    [
+      ("node 7 of 3", one_group, trigger ~node:7 100.0);
+      ("node -1", one_group, trigger ~node:(-1) 100.0);
+      ("shard 2 of 1", one_group, trigger ~shard:2 100.0);
+      ("shard -1", one_group, trigger ~shard:(-1) 100.0);
+      ("at -5 ms", one_group, trigger (-5.0));
+      ("at nan", one_group, trigger Float.nan);
+      ("at inf", one_group, trigger Float.infinity);
+      (* 15 nodes in 4 shards: sizes 4, 4, 4, 3 *)
+      ("node 3 of the short shard", W.Shard.default, trigger ~shard:3 ~node:3 10.0);
+    ];
+  W.Run.validate { one_group with triggers = [ trigger ~node:2 0.0 ] };
+  W.Run.validate { W.Shard.default with triggers = [ trigger ~shard:3 ~node:2 10.0 ] }
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "workload"
@@ -492,5 +519,6 @@ let () =
           tc "closed loop" test_shard_closed_loop;
           tc "export shapes" test_shard_export_shapes;
           tc "determinism" test_shard_determinism;
+          tc "out-of-range triggers rejected" test_run_rejects_bad_triggers;
         ] );
     ]
