@@ -19,6 +19,26 @@ module Json = Dpu_obs.Json
 
 let section name = Printf.printf "\n============ %s ============\n%!" name
 
+let poisson rate_per_s = W.Run.Open { rate_per_s; pattern = W.Load_gen.Poisson }
+
+(* A bare middleware run through the one driver: [n] stacks on
+   [config], a constant open-loop load of [rate] msg/s until
+   [until_ms], simulated up to [limit_ms]. *)
+let bare ?register_extra ?(triggers = []) ~config ~n ~rate ~until_ms ~limit_ms () =
+  W.Run.exec
+    {
+      W.Run.n;
+      shards = 1;
+      config;
+      register_extra;
+      faults = [];
+      load = W.Run.Open { rate_per_s = rate; pattern = W.Load_gen.Constant };
+      until_ms;
+      warmup_ms = 0.0;
+      drain_ms = limit_ms -. until_ms;
+      triggers;
+    }
+
 (* Machine-readable results: every section deposits its numbers here
    and the driver writes BENCH_results.json at the end. Accumulated in
    reverse (prepend is O(1), appending was quadratic) and reversed at
@@ -55,22 +75,23 @@ let record_sweep key (st : W.Sweep.stats) =
 
 let run_fig5 () =
   section "Figure 5: latency around a replacement (n=7, 40 msg/s, CT->CT)";
-  let r = F.figure5 () in
+  let n, load, seed = (7, 40.0, 1) in
+  let r = F.figure5 ~n ~load ~seed () in
   print_string (F.render_figure5 r);
   let reports = E.check r in
   record "fig5"
     (Json.Obj
        [
-         ("n", Json.Int r.E.params.E.n);
-         ("seed", Json.Int r.E.params.E.seed);
-         ("load_msg_per_s", Json.Float r.E.params.E.load);
+         ("n", Json.Int n);
+         ("seed", Json.Int seed);
+         ("load_msg_per_s", Json.Float load);
          ("sent", Json.Int r.E.sent);
          ("delivered_everywhere", Json.Int r.E.delivered_everywhere);
          ("normal_mean_ms", Json.Float (Stats.mean r.E.normal));
          ("normal_p95_ms", Json.Float (Stats.percentile r.E.normal 95.0));
          ("during_mean_ms", Json.Float (Stats.mean r.E.during));
          ("switch_duration_ms", Json.Float r.E.switch_duration_ms);
-         ("blocked_ms", Json.Float r.E.blocked_ms);
+         ("blocked_ms", Json.Float (E.group r).W.Run.blocked_ms);
          ("properties_ok", Json.Bool (Dpu_props.Report.all_ok reports));
        ]);
   Format.printf "properties: %s@."
@@ -350,7 +371,7 @@ let run_compare () =
                 (fun (row : F.comparison_row) ->
                   Json.Obj
                     [
-                      ("approach", Json.Str (E.approach_name row.F.approach));
+                      ("approach", Json.Str row.F.approach);
                       ("normal_ms", Json.Float row.F.normal_ms);
                       ("during_switch_ms", Json.Float row.F.during_switch_ms);
                       ("switch_duration_ms", Json.Float row.F.switch_duration);
@@ -363,7 +384,7 @@ let run_compare () =
   print_string
     (W.Ascii.vbars
        (List.map
-          (fun r -> (E.approach_name r.F.approach ^ " blocked [ms]", r.F.blocked))
+          (fun r -> (r.F.approach ^ " blocked [ms]", r.F.blocked))
           rows));
   (* The flexibility difference (§4.2): switching to a protocol that
      needs services absent from the stack. *)
@@ -372,24 +393,24 @@ let run_compare () =
   let try_switch approach =
     let r =
       E.run
-        {
-          E.default with
-          n = 4;
-          load = 20.0;
-          duration_ms = 4_000.0;
-          switch_at_ms = 2_000.0;
-          initial = Dpu_core.Variants.sequencer;
-          switch_to = Some Dpu_core.Variants.ct;
-          approach;
-        }
+        (E.with_layer (List.assoc approach E.approaches)
+           (E.with_profile
+              (fun p -> { p with initial_abcast = Dpu_core.Variants.sequencer })
+              {
+                E.default with
+                n = 4;
+                load = poisson 20.0;
+                until_ms = 4_000.0;
+                triggers = [ E.switch ~n:4 ~at_ms:2_000.0 Dpu_core.Variants.ct ];
+              }))
     in
-    Printf.printf "  %-10s -> %s\n" (E.approach_name approach)
+    Printf.printf "  %-10s -> %s\n" approach
       (match r.E.switch_window with
       | Some _ -> "switched (substrate built on the fly)"
       | None -> "REFUSED (cannot create providers for new services)")
   in
-  try_switch E.Repl;
-  try_switch E.Graceful
+  try_switch "repl";
+  try_switch "graceful"
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                          *)
@@ -415,7 +436,9 @@ let run_ablation () =
       (fun (batch_size, load) ->
         let r =
           E.run
-            { E.default with batch_size; load; switch_to = None; duration_ms = 6_000.0 }
+            (E.with_profile
+               (fun p -> { p with batch_size })
+               { E.default with load = poisson load; until_ms = 6_000.0; triggers = [] })
         in
         [
           string_of_int batch_size;
@@ -428,22 +451,13 @@ let run_ablation () =
     (W.Ascii.table ~header:[ "batch"; "load"; "mean [ms]"; "p95 [ms]" ] rows);
 
   section "Ablation: per-hop dispatch cost (stack depth sensitivity)";
-  let dispatches_per_msg approach hop_cost =
-    let profile =
-      {
-        Dpu_core.Stack_builder.default_profile with
-        layer =
-          (match approach with
-          | E.No_layer -> None
-          | _ -> Some Dpu_core.Repl.protocol_name);
-      }
-    in
+  let dispatches_per_msg layer hop_cost =
+    let profile = { Dpu_core.Stack_builder.default_profile with layer } in
     let config =
       { Dpu_core.Middleware.default_config with profile; seed = 1; hop_cost }
     in
-    let mw = Dpu_core.Middleware.create ~config ~n:7 () in
-    W.Load_gen.start mw ~rate_per_s:40.0 ~until:2_000.0 ();
-    Dpu_core.Middleware.run_until_quiescent ~limit:30_000.0 mw;
+    let r = bare ~config ~n:7 ~rate:40.0 ~until_ms:2_000.0 ~limit_ms:30_000.0 () in
+    let mw = r.W.Run.groups.(0).W.Run.mw in
     let total =
       Array.fold_left
         (fun acc stack ->
@@ -458,19 +472,16 @@ let run_ablation () =
   let rows =
     List.map
       (fun hop_cost ->
-        let with_layer =
-          E.run { E.default with hop_cost; switch_to = None; duration_ms = 4_000.0 }
+        let spec =
+          {
+            E.default with
+            config = { E.default.W.Run.config with hop_cost };
+            until_ms = 4_000.0;
+            triggers = [];
+          }
         in
-        let without =
-          E.run
-            {
-              E.default with
-              hop_cost;
-              approach = E.No_layer;
-              switch_to = None;
-              duration_ms = 4_000.0;
-            }
-        in
+        let with_layer = E.run spec in
+        let without = E.run (E.with_layer None spec) in
         let overhead =
           (Stats.mean with_layer.E.normal -. Stats.mean without.E.normal)
           /. Stats.mean without.E.normal *. 100.0
@@ -489,8 +500,8 @@ let run_ablation () =
        rows);
   Printf.printf
     "dispatch hops per message (all stacks): no layer %.1f, with layer %.1f\n"
-    (dispatches_per_msg E.No_layer 0.5)
-    (dispatches_per_msg E.Repl 0.5);
+    (dispatches_per_msg None 0.5)
+    (dispatches_per_msg (Some Dpu_core.Repl.protocol_name) 0.5);
 
   section "Ablation: ABcast variant latency profiles (same service, n=3/7)";
   let rows =
@@ -501,14 +512,9 @@ let run_ablation () =
       (fun (n, variant) ->
         let r =
           E.run
-            {
-              E.default with
-              n;
-              load = 30.0;
-              initial = variant;
-              switch_to = None;
-              duration_ms = 5_000.0;
-            }
+            (E.with_profile
+               (fun p -> { p with initial_abcast = variant })
+               { E.default with n; load = poisson 30.0; until_ms = 5_000.0; triggers = [] })
         in
         [
           variant;
@@ -634,15 +640,15 @@ let run_ablation () =
       (fun (from_p, to_p) ->
         let r =
           E.run
-            {
-              E.default with
-              n = 5;
-              load = 30.0;
-              initial = from_p;
-              switch_to = Some to_p;
-              duration_ms = 6_000.0;
-              switch_at_ms = 3_000.0;
-            }
+            (E.with_profile
+               (fun p -> { p with initial_abcast = from_p })
+               {
+                 E.default with
+                 n = 5;
+                 load = poisson 30.0;
+                 until_ms = 6_000.0;
+                 triggers = [ E.switch ~n:5 ~at_ms:3_000.0 to_p ];
+               })
         in
         [
           Printf.sprintf "%s -> %s" from_p to_p;
@@ -668,9 +674,8 @@ let run_consensus () =
       { Dpu_core.Stack_builder.default_profile with consensus_layer = Some initial }
     in
     let config = { Dpu_core.Middleware.default_config with profile; seed = 1 } in
-    let mw = Dpu_core.Middleware.create ~config ~n:5 () in
-    W.Load_gen.start mw ~rate_per_s:30.0 ~until:5_000.0 ();
-    Dpu_core.Middleware.run_until_quiescent ~limit:60_000.0 mw;
+    let r = bare ~config ~n:5 ~rate:30.0 ~until_ms:5_000.0 ~limit_ms:60_000.0 () in
+    let mw = r.W.Run.groups.(0).W.Run.mw in
     let stats = Dpu_engine.Series.stats (Dpu_core.Middleware.latency_series mw) in
     [
       initial;
@@ -694,14 +699,18 @@ let run_consensus () =
     }
   in
   let config = { Dpu_core.Middleware.default_config with profile; seed = 1 } in
-  let mw = Dpu_core.Middleware.create ~config ~n:5 () in
-  W.Load_gen.start mw ~rate_per_s:40.0 ~until:8_000.0 ();
-  let clock = Dpu_kernel.System.clock (Dpu_core.Middleware.system mw) in
-  ignore
-    (Clock.defer clock ~delay:4_000.0 (fun () ->
-         Dpu_core.Middleware.change_consensus mw ~node:2
-           Dpu_protocols.Consensus_paxos.protocol_name));
-  Dpu_core.Middleware.run_until_quiescent ~limit:60_000.0 mw;
+  let swap =
+    {
+      W.Run.at_ms = 4_000.0;
+      shard = 0;
+      node = 2;
+      action = W.Run.Consensus Dpu_protocols.Consensus_paxos.protocol_name;
+    }
+  in
+  let r =
+    bare ~config ~n:5 ~rate:40.0 ~until_ms:8_000.0 ~limit_ms:60_000.0 ~triggers:[ swap ] ()
+  in
+  let mw = r.W.Run.groups.(0).W.Run.mw in
   let series = Dpu_core.Middleware.latency_series mw in
   let before = Dpu_engine.Series.stats_between series ~lo:500.0 ~hi:4_000.0 in
   let around = Dpu_engine.Series.stats_between series ~lo:4_000.0 ~hi:4_500.0 in
@@ -733,15 +742,14 @@ let run_consensus () =
     let config =
       { Dpu_core.Middleware.default_config with profile; seed = 1; hop_cost = 0.5 }
     in
-    let mw =
-      Dpu_core.Middleware.create ~config
+    let r =
+      bare ~config ~n:7 ~rate:80.0 ~until_ms:5_000.0 ~limit_ms:120_000.0
         ~register_extra:(fun system ->
           (* Most recent registration wins: override rp2p. *)
           Dpu_protocols.Rp2p.register ~config:rp2p_config system)
-        ~n:7 ()
+        ()
     in
-    W.Load_gen.start mw ~rate_per_s:80.0 ~size:4096 ~until:5_000.0 ();
-    Dpu_core.Middleware.run_until_quiescent ~limit:120_000.0 mw;
+    let mw = r.W.Run.groups.(0).W.Run.mw in
     let stats = Dpu_engine.Series.stats (Dpu_core.Middleware.latency_series mw) in
     let retrans =
       Array.fold_left

@@ -46,41 +46,101 @@ let jobs_arg =
            or 1.")
 
 (* A spec the run driver rejects (shards < 1, fewer nodes than shards,
-   a bad fault schedule or load rate) is a usage error: one line on
-   stderr and exit 2, before anything runs. *)
-let validate_or_exit spec =
-  match Run.validate spec with
-  | () -> ()
+   a bad fault schedule, load rate or trigger) is a usage error: one
+   line on stderr and exit 2, before anything runs. The figure drivers
+   validate every spec before their first simulation step or worker
+   fork, so an [Invalid_argument] out of them is such a spec too. *)
+let exit_on_invalid f =
+  match f () with
+  | v -> v
   | exception Invalid_argument msg ->
     Printf.eprintf "dpu_run: %s\n" msg;
     exit 2
 
+let validate_or_exit spec = exit_on_invalid (fun () -> Run.validate spec)
+
 let approach_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "repl" -> Ok E.Repl
-    | "maestro" -> Ok E.Maestro
-    | "graceful" -> Ok E.Graceful
-    | "none" | "no-layer" -> Ok E.No_layer
-    | other -> Error (`Msg (Printf.sprintf "unknown approach %S" other))
+    let label = match String.lowercase_ascii s with "none" -> "no-layer" | l -> l in
+    match List.assoc_opt label E.approaches with
+    | Some layer -> Ok layer
+    | None -> Error (`Msg (Printf.sprintf "unknown approach %S" label))
   in
-  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (E.approach_name a))
+  Arg.conv (parse, fun ppf layer -> Format.pp_print_string ppf (E.approach_name layer))
+
+(* The stack and replacements the scenario and check flags describe:
+   [E.default] at [n], the ABcast switch from node [n - 1], and the
+   consensus swap (which installs the consensus layer) from node 0. *)
+let plan_term ~switch_at ~switch_consensus_at =
+  let initial =
+    Arg.(
+      value
+      & opt string Dpu_core.Variants.ct
+      & info [ "initial" ] ~docv:"PROTO"
+          ~doc:"Initial ABcast variant (abcast.ct, abcast.seq, abcast.token).")
+  in
+  let switch_to =
+    Arg.(
+      value
+      & opt (some string) (Some Dpu_core.Variants.ct)
+      & info [ "switch-to" ] ~docv:"PROTO" ~doc:"Replacement target; omit for none.")
+  in
+  let approach =
+    Arg.(
+      value
+      & opt approach_conv (Some Dpu_core.Repl.protocol_name)
+      & info [ "approach" ] ~docv:"A" ~doc:"repl | graceful | maestro | no-layer.")
+  in
+  let batch =
+    Arg.(value & opt int 1 & info [ "batch" ] ~docv:"K" ~doc:"Consensus batch size.")
+  in
+  let consensus_layer =
+    Arg.(
+      value & flag
+      & info [ "consensus-layer" ]
+          ~doc:"Install the consensus replacement layer (implied by --switch-consensus-to).")
+  in
+  let switch_consensus_to =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "switch-consensus-to" ] ~docv:"IMPL"
+          ~doc:"Hot-swap consensus to IMPL (consensus.ct | consensus.paxos).")
+  in
+  let plan n initial switch_to layer batch consensus_layer switch_consensus_to switch_at
+      switch_consensus_at =
+    let consensus_layer =
+      if consensus_layer || switch_consensus_to <> None then
+        Some Dpu_protocols.Consensus_ct.protocol_name
+      else None
+    in
+    let consensus p =
+      { Run.at_ms = switch_consensus_at; shard = 0; node = 0; action = Run.Consensus p }
+    in
+    E.with_layer layer
+      (E.with_profile
+         (fun p -> { p with initial_abcast = initial; batch_size = batch; consensus_layer })
+         {
+           E.default with
+           n;
+           triggers =
+             Option.to_list (Option.map (E.switch ~n ~at_ms:switch_at) switch_to)
+             @ Option.to_list (Option.map consensus switch_consensus_to);
+         })
+  in
+  Term.(
+    const plan $ n_arg $ initial $ switch_to $ approach $ batch $ consensus_layer
+    $ switch_consensus_to $ switch_at $ switch_consensus_at)
+
+let open_load rate_per_s = Run.Open { rate_per_s; pattern = Dpu_workload.Load_gen.Poisson }
 
 (* ------------------------------------------------------------------ *)
 (* scenario                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let scenario n load seed duration switch_at initial switch_to approach loss batch check
-    consensus_layer switch_consensus_to switch_consensus_at faults nemesis_seed
+let scenario (spec : Run.spec) load seed duration loss check faults nemesis_seed
     nemesis_faults metrics_out spans_out csv_out log_out =
-  let consensus_layer =
-    if consensus_layer || switch_consensus_to <> None then
-      Some Dpu_protocols.Consensus_ct.protocol_name
-    else None
-  in
-  let switch_consensus =
-    Option.map (fun prot -> (switch_consensus_at, prot)) switch_consensus_to
-  in
+  let n = spec.n in
   let faults =
     match nemesis_seed with
     | None -> faults
@@ -91,34 +151,33 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
           ~n ~horizon_ms:duration ?faults:nemesis_faults ()
   in
   let obs_requested = metrics_out <> None || spans_out <> None || csv_out <> None in
-  let params =
-    {
-      E.default with
-      n;
-      load;
-      seed;
-      duration_ms = duration;
-      switch_at_ms = switch_at;
-      initial;
-      switch_to;
-      approach;
-      loss;
-      batch_size = batch;
-      trace_enabled = check || spans_out <> None;
-      metrics_enabled = obs_requested;
-      consensus_layer;
-      switch_consensus;
-      faults;
-      log_out;
-    }
+  let spec =
+    E.fail_stop
+      {
+        spec with
+        config =
+          {
+            spec.config with
+            seed;
+            loss;
+            trace_enabled = check || spans_out <> None;
+            metrics_enabled = obs_requested;
+          };
+        faults;
+        load = open_load load;
+        until_ms = duration;
+      }
   in
-  validate_or_exit (E.spec params);
+  validate_or_exit spec;
   if faults <> [] then
     Format.printf "fault schedule: %a@." Dpu_faults.Schedule.pp faults;
-  let r = E.run params in
+  let r = E.run ?log_out spec in
+  let g = E.group r in
+  let system = Dpu_core.Middleware.system g.Run.mw in
+  let metrics = Dpu_core.Middleware.metrics g.Run.mw in
   Printf.printf "sent %d, delivered everywhere %d, correct nodes {%s}\n" r.E.sent
     r.E.delivered_everywhere
-    (String.concat "," (List.map string_of_int r.E.correct));
+    (String.concat "," (List.map string_of_int g.Run.correct));
   Printf.printf "normal latency: mean %.2f ms, p95 %.2f ms (%d msgs)\n"
     (Stats.mean r.E.normal)
     (Stats.percentile r.E.normal 95.0)
@@ -128,18 +187,21 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
     Printf.printf "replacement: %.1f..%.1f ms (window %.1f ms); during: mean %.2f ms (%d msgs)\n"
       lo hi (hi -. lo) (Stats.mean r.E.during) (Stats.count r.E.during)
   | None -> print_endline "no replacement performed");
-  if r.E.blocked_ms > 0.0 then
-    Printf.printf "application blocked for %.1f ms\n" r.E.blocked_ms;
+  if g.Run.blocked_ms > 0.0 then
+    Printf.printf "application blocked for %.1f ms\n" g.Run.blocked_ms;
   if faults <> [] then
-    Format.printf "faults: %a@." Dpu_faults.Fault_transport.pp_stats r.E.fault_stats;
+    Format.printf "faults: %a@." Dpu_faults.Fault_transport.pp_stats
+      (Dpu_kernel.System.fault_stats system);
   (match metrics_out with
   | Some path ->
-    Dpu_obs.Json.to_file path (Dpu_obs.Metrics.to_json r.E.metrics);
+    Dpu_obs.Json.to_file path (Dpu_obs.Metrics.to_json metrics);
     Printf.printf "metrics snapshot written to %s\n" path
   | None -> ());
   (match spans_out with
   | Some path ->
-    let events = Dpu_core.Spans.of_run ~trace:r.E.trace ~n r.E.collector in
+    let events =
+      Dpu_core.Spans.of_run ~trace:(Dpu_kernel.System.trace system) ~n g.Run.collector
+    in
     Dpu_obs.Json.to_file path (Dpu_core.Spans.to_json events);
     Printf.printf "%d trace events written to %s (load in Perfetto / chrome://tracing)\n"
       (List.length events) path
@@ -160,7 +222,7 @@ let scenario n load seed duration switch_at initial switch_to approach loss batc
   | None -> ());
   if obs_requested then begin
     print_endline "--- observability summary ---";
-    Format.printf "%a@?" Dpu_obs.Metrics.pp_summary r.E.metrics
+    Format.printf "%a@?" Dpu_obs.Metrics.pp_summary metrics
   end;
   if check then begin
     let reports = E.check r in
@@ -187,45 +249,11 @@ let scenario_cmd =
       value & opt float 5_000.0
       & info [ "switch-at" ] ~docv:"MS" ~doc:"When to trigger the replacement.")
   in
-  let initial =
-    Arg.(
-      value
-      & opt string Dpu_core.Variants.ct
-      & info [ "initial" ] ~docv:"PROTO"
-          ~doc:"Initial ABcast variant (abcast.ct, abcast.seq, abcast.token).")
-  in
-  let switch_to =
-    Arg.(
-      value
-      & opt (some string) (Some Dpu_core.Variants.ct)
-      & info [ "switch-to" ] ~docv:"PROTO" ~doc:"Replacement target; omit for none.")
-  in
-  let approach =
-    Arg.(
-      value & opt approach_conv E.Repl
-      & info [ "approach" ] ~docv:"A" ~doc:"repl | graceful | maestro | no-layer.")
-  in
   let loss =
     Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc:"Datagram loss probability.")
   in
-  let batch =
-    Arg.(value & opt int 1 & info [ "batch" ] ~docv:"K" ~doc:"Consensus batch size.")
-  in
   let check =
     Arg.(value & flag & info [ "check" ] ~doc:"Verify all correctness properties afterwards.")
-  in
-  let consensus_layer =
-    Arg.(
-      value & flag
-      & info [ "consensus-layer" ]
-          ~doc:"Install the consensus replacement layer (implied by --switch-consensus-to).")
-  in
-  let switch_consensus_to =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "switch-consensus-to" ] ~docv:"IMPL"
-          ~doc:"Hot-swap consensus to IMPL (consensus.ct | consensus.paxos).")
   in
   let switch_consensus_at =
     Arg.(
@@ -291,9 +319,9 @@ let scenario_cmd =
   in
   let term =
     Term.(
-      const scenario $ n_arg $ load_arg $ seed_arg $ duration $ switch_at $ initial
-      $ switch_to $ approach $ loss $ batch $ check $ consensus_layer
-      $ switch_consensus_to $ switch_consensus_at $ faults $ nemesis_seed
+      const scenario
+      $ plan_term ~switch_at ~switch_consensus_at
+      $ load_arg $ seed_arg $ duration $ loss $ check $ faults $ nemesis_seed
       $ nemesis_faults $ metrics_out $ spans_out $ csv_out $ log_out)
   in
   Cmd.v
@@ -305,7 +333,10 @@ let scenario_cmd =
 (* ------------------------------------------------------------------ *)
 
 let fig5_cmd =
-  let run n load seed = print_string (F.render_figure5 (F.figure5 ~n ~load ~seed ())) in
+  let run n load seed =
+    let r = exit_on_invalid (fun () -> F.figure5 ~n ~load ~seed ()) in
+    print_string (F.render_figure5 r)
+  in
   Cmd.v
     (Cmd.info "fig5" ~doc:"Regenerate Figure 5 (latency around a replacement).")
     Term.(const run $ n_arg $ load_arg $ seed_arg)
@@ -321,7 +352,7 @@ let fig6_cmd =
     Arg.(value & opt (list int) [ 3; 7 ] & info [ "ns" ] ~docv:"N1,N2" ~doc:"Group sizes.")
   in
   let run ns loads seed jobs =
-    let outcome = F.figure6_sweep ~ns ~loads ~seed ~jobs () in
+    let outcome = exit_on_invalid (fun () -> F.figure6_sweep ~ns ~loads ~seed ~jobs ()) in
     print_string (F.render_figure6 (Array.to_list outcome.Dpu_workload.Sweep.results))
   in
   Cmd.v
@@ -330,7 +361,8 @@ let fig6_cmd =
 
 let headline_cmd =
   let run n load jobs =
-    print_string (F.render_headline (fst (F.headline_sweep ~n ~load ~jobs ())))
+    let h, _ = exit_on_invalid (fun () -> F.headline_sweep ~n ~load ~jobs ()) in
+    print_string (F.render_headline h)
   in
   Cmd.v
     (Cmd.info "headline" ~doc:"Regenerate the headline numbers of §6.")
@@ -338,8 +370,10 @@ let headline_cmd =
 
 let compare_cmd =
   let run n load seed jobs =
-    print_string
-      (F.render_comparison (fst (F.compare_approaches_sweep ~n ~load ~seed ~jobs ())))
+    let rows, _ =
+      exit_on_invalid (fun () -> F.compare_approaches_sweep ~n ~load ~seed ~jobs ())
+    in
+    print_string (F.render_comparison rows)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Quantify Repl vs Graceful Adaptation vs Maestro.")
@@ -512,73 +546,66 @@ let shard_cmd =
 (* ------------------------------------------------------------------ *)
 
 let shipped_configs =
-  let base = { E.default with duration_ms = 0.0 } in
+  let base = E.default in
+  let pair ?batching initial target =
+    E.with_profile
+      (fun p -> { p with initial_abcast = initial; batching })
+      { base with triggers = [ E.switch ~n:base.Run.n ~at_ms:5_000.0 target ] }
+  in
+  let layer approach = E.with_layer (List.assoc approach E.approaches) base in
   [
-    ("repl ct->ct", { base with approach = E.Repl });
-    ("graceful ct->ct", { base with approach = E.Graceful });
-    ("maestro ct->ct", { base with approach = E.Maestro });
-    ("no-layer ct", { base with approach = E.No_layer; switch_to = None });
+    ("repl ct->ct", base);
+    ("graceful ct->ct", layer "graceful");
+    ("maestro ct->ct", layer "maestro");
+    ("no-layer ct", layer "no-layer");
   ]
   (* the full old/new matrix over the shipped ABcast variants *)
   @ List.concat_map
       (fun initial ->
         List.map
-          (fun target ->
-            ( Printf.sprintf "repl %s->%s" initial target,
-              { base with initial; switch_to = Some target } ))
+          (fun target -> (Printf.sprintf "repl %s->%s" initial target, pair initial target))
           Dpu_core.Variants.all)
       Dpu_core.Variants.all
   @ [
       ( "repl seq->token, batched",
-        {
-          base with
-          initial = Dpu_core.Variants.sequencer;
-          switch_to = Some Dpu_core.Variants.token;
-          batching = Some { Dpu_protocols.Batcher.max_batch = 16; max_delay_ms = 2.0 };
-        } );
-      ("repl ct, no switch", { base with switch_to = None });
+        pair Dpu_core.Variants.sequencer Dpu_core.Variants.token
+          ~batching:{ Dpu_protocols.Batcher.max_batch = 16; max_delay_ms = 2.0 } );
+      ("repl ct, no switch", { base with triggers = [] });
       ( "repl ct->ct + consensus ct->paxos",
-        {
-          base with
-          consensus_layer = Some Dpu_protocols.Consensus_ct.protocol_name;
-          switch_consensus = Some (2_500.0, Dpu_protocols.Consensus_paxos.protocol_name);
-        } );
+        E.with_profile
+          (fun p -> { p with consensus_layer = Some Dpu_protocols.Consensus_ct.protocol_name })
+          {
+            base with
+            triggers =
+              base.triggers
+              @ [
+                  {
+                    Run.at_ms = 2_500.0;
+                    shard = 0;
+                    node = 0;
+                    action = Run.Consensus Dpu_protocols.Consensus_paxos.protocol_name;
+                  };
+                ];
+          } );
     ]
 
-let check_one ~label params =
-  let reports = E.preflight params in
+let check_one ~label spec =
+  validate_or_exit spec;
+  let reports = E.preflight spec in
   let ok = Dpu_props.Report.all_ok reports in
   Format.printf "@[<v>-- %s: %s@,%a@]@." label
     (if ok then "OK" else "REJECTED")
     Dpu_props.Report.pp_all reports;
   (ok, reports)
 
-let check n initial switch_to approach batch consensus_layer switch_consensus_to
-    no_epoch_buffer shipped json_out =
+let check spec no_epoch_buffer shipped json_out =
   let results =
-    if shipped then List.map (fun (label, p) -> check_one ~label p) shipped_configs
-    else begin
-      let consensus_layer =
-        if consensus_layer || switch_consensus_to <> None then
-          Some Dpu_protocols.Consensus_ct.protocol_name
-        else None
-      in
-      let params =
-        {
-          E.default with
-          n;
-          initial;
-          switch_to;
-          approach;
-          batch_size = batch;
-          consensus_layer;
-          switch_consensus =
-            Option.map (fun prot -> (2_500.0, prot)) switch_consensus_to;
-          epoch_buffer = not no_epoch_buffer;
-        }
-      in
-      [ check_one ~label:"configuration" params ]
-    end
+    if shipped then List.map (fun (label, spec) -> check_one ~label spec) shipped_configs
+    else
+      [
+        check_one ~label:"configuration"
+          (E.with_profile (fun p -> { p with epoch_buffer = not no_epoch_buffer }) spec);
+      ]
   in
   (match json_out with
   | Some path ->
@@ -594,39 +621,6 @@ let check n initial switch_to approach batch consensus_layer switch_consensus_to
   end
 
 let check_cmd =
-  let initial =
-    Arg.(
-      value
-      & opt string Dpu_core.Variants.ct
-      & info [ "initial" ] ~docv:"PROTO" ~doc:"Initial ABcast variant.")
-  in
-  let switch_to =
-    Arg.(
-      value
-      & opt (some string) (Some Dpu_core.Variants.ct)
-      & info [ "switch-to" ] ~docv:"PROTO" ~doc:"Replacement target; omit for none.")
-  in
-  let approach =
-    Arg.(
-      value & opt approach_conv E.Repl
-      & info [ "approach" ] ~docv:"A" ~doc:"repl | graceful | maestro | no-layer.")
-  in
-  let batch =
-    Arg.(value & opt int 1 & info [ "batch" ] ~docv:"K" ~doc:"Consensus batch size.")
-  in
-  let consensus_layer =
-    Arg.(
-      value & flag
-      & info [ "consensus-layer" ]
-          ~doc:"Install the consensus replacement layer (implied by --switch-consensus-to).")
-  in
-  let switch_consensus_to =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "switch-consensus-to" ] ~docv:"IMPL"
-          ~doc:"Plan a consensus hot-swap to IMPL (consensus.ct | consensus.paxos).")
-  in
   let no_epoch_buffer =
     Arg.(
       value & flag
@@ -653,8 +647,9 @@ let check_cmd =
   in
   let term =
     Term.(
-      const check $ n_arg $ initial $ switch_to $ approach $ batch $ consensus_layer
-      $ switch_consensus_to $ no_epoch_buffer $ shipped $ json_out)
+      const check
+      $ plan_term ~switch_at:(const 5_000.0) ~switch_consensus_at:(const 2_500.0)
+      $ no_epoch_buffer $ shipped $ json_out)
   in
   Cmd.v
     (Cmd.info "check"
@@ -1007,18 +1002,18 @@ let corpus_cmd =
 
 let trace_cmd =
   let run n load duration switch_at switch_to grep =
-    let params =
+    let spec =
       {
         E.default with
         n;
-        load;
-        duration_ms = duration;
-        switch_at_ms = switch_at;
-        switch_to;
-        trace_enabled = true;
+        config = { E.default.Run.config with trace_enabled = true };
+        load = open_load load;
+        until_ms = duration;
+        triggers = Option.to_list (Option.map (E.switch ~n ~at_ms:switch_at) switch_to);
       }
     in
-    let r = E.run params in
+    validate_or_exit spec;
+    let r = E.run spec in
     let matches s =
       match grep with
       | None -> true
@@ -1027,7 +1022,8 @@ let trace_cmd =
         let rec go i = i + nl <= hl && (String.sub s i nl = needle || go (i + 1)) in
         go 0
     in
-    Dpu_kernel.Trace.iter r.E.trace (fun e ->
+    let system = Dpu_core.Middleware.system (E.group r).Run.mw in
+    Dpu_kernel.Trace.iter (Dpu_kernel.System.trace system) (fun e ->
         let line = Format.asprintf "%a" Dpu_kernel.Trace.pp_entry e in
         if matches line then print_endline line)
   in

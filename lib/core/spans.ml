@@ -130,8 +130,6 @@ let replacement_timeline collector =
         (Collector.switch_window collector ~generation))
     generations
 
-let windows_of_trace_events = Dpu_obs.Report_html.windows_of_events
-
 let of_run ?trace ~n collector =
   let from_trace =
     match trace with

@@ -13,14 +13,6 @@
 
 open Dpu_kernel
 
-val message_events : Collector.t -> Dpu_obs.Trace_event.t list
-(** One complete span per (sent message, delivering node); messages
-    never delivered anywhere render as instants on the sender. *)
-
-val switch_events : Collector.t -> n:int -> Dpu_obs.Trace_event.t list
-(** Per-node generation-install instants plus one window span per
-    generation on the timeline process. *)
-
 val trace_events : Trace.t -> Dpu_obs.Trace_event.t list
 (** From one pass over the kernel trace: one span per blocked service
     call (from [Call_blocked] to its FIFO matching [Call_unblocked]),
@@ -31,13 +23,6 @@ val trace_events : Trace.t -> Dpu_obs.Trace_event.t list
 val replacement_timeline : Collector.t -> (int * (float * float)) list
 (** Per generation, the [(first_install, last_install)] window — the
     data behind the timeline-process spans, sorted by generation. *)
-
-val windows_of_trace_events :
-  Dpu_obs.Trace_event.t list -> (int * (float * float)) list
-(** Recover the replacement windows from trace events (the
-    ["replacement gen=N"] spans, wherever they were merged from), in
-    milliseconds. On a trace produced by {!of_run} this agrees with
-    {!replacement_timeline} on the same collector. *)
 
 val of_run : ?trace:Trace.t -> n:int -> Collector.t -> Dpu_obs.Trace_event.t list
 (** Everything above plus process/thread naming metadata. [trace]

@@ -119,8 +119,6 @@ let net t =
   | Simulated { net; _ } -> net
   | External -> invalid_arg "System.net: not a simulated deployment"
 
-let is_simulated t = match t.backend with Simulated _ -> true | External -> false
-
 let fault_stats t =
   match t.backend with
   | Simulated { shim = Some shim; _ } -> Fault_transport.stats shim

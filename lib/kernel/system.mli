@@ -94,8 +94,6 @@ val net : t -> Payload.t Dpu_net.Datagram.t
     fail-stop crashes). Raises [Invalid_argument] on an {!of_runtime}
     deployment. *)
 
-val is_simulated : t -> bool
-
 val fault_stats : t -> Dpu_faults.Fault_transport.stats
 (** The fault shim's ledger; {!Dpu_faults.Fault_transport.no_stats}
     when {!create} got no schedule (and on {!of_runtime} deployments,

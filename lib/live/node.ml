@@ -11,7 +11,6 @@ type config = {
   me : int;
   n : int;
   epoch : float;
-  service : string;
   generation : int;
   initial : string;
   switches : (float * int * string) list;
@@ -65,7 +64,7 @@ let run ~config ~fd ~peers () =
       config.batching
   in
   let tr =
-    Udp_transport.create ~service:config.service ~generation:config.generation
+    Udp_transport.create ~generation:config.generation
       ?batching:config.batching ?on_batch ~me:config.me ~fd ~peers ()
   in
   (* Per-node trace buffer: events against the shared epoch, shipped in

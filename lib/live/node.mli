@@ -23,7 +23,6 @@ type config = {
   me : int;  (** which node this process hosts *)
   n : int;
   epoch : float;  (** shared wall-clock origin, from the parent *)
-  service : string;  (** envelope service name; foreign frames drop *)
   generation : int;  (** envelope deployment generation *)
   initial : string;  (** initial ABcast variant *)
   switches : (float * int * string) list;

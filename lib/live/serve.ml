@@ -137,7 +137,6 @@ let run ?metrics_out ?spans_out ?trace_out ?logs_dir params =
         Node.me;
         n = params.n;
         epoch;
-        service = "dpu";
         generation;
         initial = params.initial;
         switches;

@@ -15,9 +15,6 @@ type level = Debug | Info | Warn | Error
 
 val level_name : level -> string
 
-val level_of_string : string -> level option
-(** Case-insensitive; accepts "warning" for [Warn]. *)
-
 type t
 
 val noop : t

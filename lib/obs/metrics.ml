@@ -348,19 +348,6 @@ let merge t snap =
           | (Counter _ | Gauge _ | Int_fn _ | Float_fn _ | Hist _), _ -> ()))
       snap
 
-let snapshot_value snap ?(labels = []) name =
-  let labels = sort_labels labels in
-  List.find_map
-    (fun s ->
-      if String.equal s.s_name name && s.s_labels = labels then
-        Some
-          (match s.s_value with
-          | S_counter v -> float_of_int v
-          | S_gauge v -> v
-          | S_hist h -> float_of_int h.h_count)
-      else None)
-    snap
-
 let snapshot_sum snap name =
   List.fold_left
     (fun acc s ->

@@ -116,9 +116,6 @@ val merge : t -> snapshot -> unit
     callback registration (they sample {e this} process) or has a
     mismatched kind are skipped. No-op on {!noop}. *)
 
-val snapshot_value : snapshot -> ?labels:(string * string) list -> string -> float option
-(** Like {!value}, over a snapshot. *)
-
 val snapshot_sum : snapshot -> string -> float
 (** Like {!sum}, over a snapshot. *)
 

@@ -6,105 +6,94 @@ module Series = Dpu_engine.Series
 module Json = Dpu_obs.Json
 module Log = Dpu_obs.Log
 
-type approach =
-  | No_layer
-  | Repl
-  | Maestro
-  | Graceful
+let approaches =
+  [
+    ("repl", Some Dpu_core.Repl.protocol_name);
+    ("graceful", Some Dpu_baselines.Graceful.protocol_name);
+    ("maestro", Some Dpu_baselines.Maestro.protocol_name);
+    ("no-layer", None);
+  ]
 
-let approach_name = function
-  | No_layer -> "no-layer"
-  | Repl -> "repl"
-  | Maestro -> "maestro"
-  | Graceful -> "graceful"
+let approach_name layer =
+  match List.find_opt (fun (_, l) -> l = layer) approaches with
+  | Some (label, _) -> label
+  | None -> Option.get layer (* a layer outside the table is its own label *)
 
-type params = {
-  n : int;
-  seed : int;
-  load : float;
-  duration_ms : float;
-  warmup_ms : float;
-  msg_size : int;
-  initial : string;
-  switch_to : string option;
-  switch_at_ms : float;
-  approach : approach;
-  batch_size : int;
-  batching : Dpu_protocols.Batcher.config option;
-  loss : float;
-  hop_cost : float;
-  trace_enabled : bool;
-  metrics_enabled : bool;
-  consensus_layer : string option;
-  switch_consensus : (float * string) option;
-  faults : Dpu_faults.Schedule.t;
-  log_out : string option;
-  epoch_buffer : bool;
-}
+let register_extra system =
+  Dpu_baselines.Maestro.register system;
+  Dpu_baselines.Graceful.register system
+
+(* "any process triggers the replacement" (§6.2): the highest one. *)
+let switch ~n ~at_ms protocol =
+  { Run.at_ms; shard = 0; node = n - 1; action = Run.Abcast protocol }
 
 let default =
   {
-    n = 7;
-    seed = 1;
-    load = 40.0;
-    duration_ms = 10_000.0;
-    warmup_ms = 500.0;
-    msg_size = 4096;
-    initial = Dpu_core.Variants.ct;
-    switch_to = Some Dpu_core.Variants.ct;
-    switch_at_ms = 5_000.0;
-    approach = Repl;
-    batch_size = 1;
-    batching = None;
-    loss = 0.0;
-    hop_cost = 0.5;
-    trace_enabled = false;
-    metrics_enabled = false;
-    consensus_layer = None;
-    switch_consensus = None;
+    Run.n = 7;
+    shards = 1;
+    config = { MW.default_config with hop_cost = 0.5; trace_enabled = false };
+    register_extra = Some register_extra;
     faults = [];
-    log_out = None;
-    epoch_buffer = true;
+    load = Run.Open { rate_per_s = 40.0; pattern = Load_gen.Poisson };
+    until_ms = 10_000.0;
+    warmup_ms = 500.0;
+    drain_ms = 120_000.0;
+    triggers = [ switch ~n:7 ~at_ms:5_000.0 Dpu_core.Variants.ct ];
   }
 
+let switch_at (s : Run.spec) =
+  List.find_map
+    (fun t -> match t.Run.action with Run.Abcast _ -> Some t.Run.at_ms | _ -> None)
+    s.triggers
+
+let with_profile f (s : Run.spec) =
+  { s with config = { s.config with profile = f s.config.MW.profile } }
+
+let with_layer layer (s : Run.spec) =
+  let keep (t : Run.trigger) =
+    match t.action with
+    | Run.Abcast _ -> Option.is_some layer
+    | Run.Consensus _ | Run.Crash -> true
+  in
+  with_profile (fun p -> { p with layer }) { s with triggers = List.filter keep s.triggers }
+
+let fail_stop (s : Run.spec) =
+  (* The fault shim silences a crashed node's network endpoint; in the
+     full-stack harness a scheduled [Crash] is also fail-stop for its
+     stack. The process model has no rejoin, so a later [Recover] only
+     lifts the network silence of a stack that stays dead. *)
+  let crashes =
+    List.filter_map
+      (fun (e : Dpu_faults.Schedule.event) ->
+        match e.action with
+        | Dpu_faults.Schedule.Crash node -> Some (e.at, node)
+        | _ -> None)
+      s.faults
+  in
+  let alive (t : Run.trigger) =
+    let crashed =
+      List.filter_map (fun (at, node) -> if at <= t.at_ms then Some node else None) crashes
+    in
+    let rec pick node =
+      if node < 0 then 0 else if List.mem node crashed then pick (node - 1) else node
+    in
+    match t.action with Run.Abcast _ -> { t with node = pick t.node } | _ -> t
+  in
+  let crash (at_ms, node) = { Run.at_ms; shard = 0; node; action = Run.Crash } in
+  { s with triggers = List.map crash crashes @ List.map alive s.triggers }
+
 type result = {
-  params : params;
   run : Run.result;
   latency : Series.t;
   normal : Stats.t;
   during : Stats.t;
   switch_window : (float * float) option;
   switch_duration_ms : float;
-  blocked_ms : float;
   sent : int;
   delivered_everywhere : int;
-  collector : Dpu_core.Collector.t;
-  trace : Dpu_kernel.Trace.t;
-  metrics : Dpu_obs.Metrics.t;
-  fault_stats : Dpu_faults.Fault_transport.stats;
-  correct : int list;
 }
 
-let layer_of = function
-  | No_layer -> None
-  | Repl -> Some Dpu_core.Repl.protocol_name
-  | Maestro -> Some Dpu_baselines.Maestro.protocol_name
-  | Graceful -> Some Dpu_baselines.Graceful.protocol_name
-
-let profile_of params =
-  {
-    SB.initial_abcast = params.initial;
-    layer = layer_of params.approach;
-    with_gm = false;
-    batch_size = params.batch_size;
-    batching = params.batching;
-    consensus_layer = params.consensus_layer;
-    epoch_buffer = params.epoch_buffer;
-  }
-
-let register_extra system =
-  Dpu_baselines.Maestro.register system;
-  Dpu_baselines.Graceful.register system
+let group r = r.run.Run.groups.(0)
 
 exception Preflight_failure of Dpu_props.Report.t list
 
@@ -116,83 +105,20 @@ let () =
            Dpu_props.Report.pp_all reports)
     | _ -> None)
 
-let preflight params =
-  let profile = profile_of params in
+let targets (s : Run.spec) f = List.filter_map (fun t -> f t.Run.action) s.triggers
+
+let preflight (s : Run.spec) =
+  Run.validate s;
+  let profile = s.config.MW.profile in
   (* A scratch system: registration populates the registry without
      building any stack, which is all the static verifier needs. *)
-  let system = Dpu_kernel.System.create ~n:params.n () in
-  SB.register_protocols ~register_extra ~profile system;
-  let updates =
-    match (params.switch_to, profile.SB.layer) with
-    | Some target, Some _ -> [ target ]
-    | Some _, None | None, _ -> []
-  in
-  let consensus_updates =
-    match params.switch_consensus with Some (_, target) -> [ target ] | None -> []
-  in
+  let system = Dpu_kernel.System.create ~n:s.n () in
+  SB.register_protocols ?register_extra:s.register_extra ~profile system;
   Dpu_analysis.Composition.verify_profile
     ~registry:(Dpu_kernel.System.registry system)
-    ~updates ~consensus_updates profile
-
-let spec params =
-  (* The fault shim silences a crashed node's network endpoint; in the
-     full-stack harness a scheduled [Crash] is also fail-stop for its
-     stack. The process model has no rejoin, so a later [Recover] only
-     lifts the network silence of a stack that stays dead. *)
-  let crashes =
-    List.filter_map
-      (fun (e : Dpu_faults.Schedule.event) ->
-        match e.action with
-        | Dpu_faults.Schedule.Crash node -> Some (e.at, node)
-        | _ -> None)
-      params.faults
-  in
-  let trigger ~at_ms ~node action = { Run.at_ms; shard = 0; node; action } in
-  let switch =
-    match (params.switch_to, layer_of params.approach) with
-    | Some protocol, Some _ ->
-      (* "any process triggers the replacement" (§6.2) — pick one that
-         is still alive at the switch time. *)
-      let crashed_by_then =
-        List.filter_map
-          (fun (t, node) -> if t <= params.switch_at_ms then Some node else None)
-          crashes
-      in
-      let rec pick node =
-        if node < 0 then 0 else if List.mem node crashed_by_then then pick (node - 1) else node
-      in
-      [ trigger ~at_ms:params.switch_at_ms ~node:(pick (params.n - 1)) (Run.Abcast protocol) ]
-    | Some _, None | None, _ -> []
-  in
-  let consensus =
-    match params.switch_consensus with
-    | Some (at_ms, protocol) -> [ trigger ~at_ms ~node:0 (Run.Consensus protocol) ]
-    | None -> []
-  in
-  {
-    Run.n = params.n;
-    shards = 1;
-    config =
-      {
-        MW.default_config with
-        seed = params.seed;
-        loss = params.loss;
-        hop_cost = params.hop_cost;
-        profile = profile_of params;
-        trace_enabled = params.trace_enabled;
-        metrics_enabled = params.metrics_enabled;
-        msg_size = params.msg_size;
-      };
-    register_extra = Some register_extra;
-    faults = params.faults;
-    load = Run.Open { rate_per_s = params.load; pattern = Load_gen.Poisson };
-    until_ms = params.duration_ms;
-    warmup_ms = params.warmup_ms;
-    drain_ms = 120_000.0;
-    triggers =
-      List.map (fun (at_ms, node) -> trigger ~at_ms ~node Run.Crash) crashes
-      @ switch @ consensus;
-  }
+    ~updates:(targets s (function Run.Abcast p -> Some p | _ -> None))
+    ~consensus_updates:(targets s (function Run.Consensus p -> Some p | _ -> None))
+    profile
 
 let log_trigger log (t : Run.trigger) =
   match t.action with
@@ -207,27 +133,30 @@ let log_trigger log (t : Run.trigger) =
    period after the switch, Fig. 5). *)
 let during_margin_ms = 50.0
 
-let run params =
-  let spec = spec params in
-  Run.validate spec;
-  (let reports = preflight params in
+let run ?log_out (spec : Run.spec) =
+  if spec.shards <> 1 then
+    invalid_arg (Printf.sprintf "Experiment.run: one group only (shards = %d)" spec.shards);
+  (let reports = preflight spec in
    if not (Dpu_props.Report.all_ok reports) then raise (Preflight_failure reports));
   (* The structured log is stamped on the VIRTUAL clock — at time 0, at
-     each trigger and at the end — so with the same params the JSONL
+     each trigger and at the end — so with the same spec the JSONL
      bytes are a pure function of the run: the determinism tests diff
      two runs' files verbatim. *)
   let now = ref 0.0 in
   let log, close_log =
-    match params.log_out with
+    match log_out with
     | None -> (Log.noop, fun () -> ())
     | Some path -> Log.to_file ~clock:(fun () -> !now) path
   in
+  let profile = spec.config.MW.profile in
   Log.info log "experiment start"
     ~fields:
-      [ ("n", Json.Int params.n); ("seed", Json.Int params.seed);
-        ("load", Json.Float params.load);
-        ("approach", Json.Str (approach_name params.approach));
-        ("initial", Json.Str params.initial) ];
+      ([ ("n", Json.Int spec.n); ("seed", Json.Int spec.config.MW.seed) ]
+      @ (match spec.load with
+        | Run.Open { rate_per_s; _ } -> [ ("load", Json.Float rate_per_s) ]
+        | Run.Closed _ -> [])
+      @ [ ("approach", Json.Str (approach_name profile.SB.layer));
+          ("initial", Json.Str profile.SB.initial_abcast) ]);
   let run =
     Run.exec spec ~on_trigger:(fun t ->
         now := t.Run.at_ms;
@@ -238,9 +167,9 @@ let run params =
   let collector = g.Run.collector in
   let latency = Collector.latency_series collector in
   let switch_window =
-    match g.Run.windows with
-    | (_, Some (_first, last)) :: _ -> Some (params.switch_at_ms, last)
-    | (_, None) :: _ | [] -> None
+    match (switch_at spec, g.Run.windows) with
+    | Some at_ms, (_, Some (_first, last)) :: _ -> Some (at_ms, last)
+    | _ -> None
   in
   let during_range =
     match switch_window with
@@ -251,7 +180,7 @@ let run params =
   let during = Stats.create () in
   List.iter
     (fun (p : Series.point) ->
-      if p.time >= params.warmup_ms then
+      if p.time >= spec.warmup_ms then
         match during_range with
         | Some (lo, hi) when p.time >= lo && p.time <= hi -> Stats.add during p.value
         | Some _ | None -> Stats.add normal p.value)
@@ -267,9 +196,7 @@ let run params =
       | Some (lo, hi) -> [ ("switch_from_ms", Json.Float lo); ("switch_to_ms", Json.Float hi) ]
       | None -> []));
   close_log ();
-  let system = MW.system g.Run.mw in
   {
-    params;
     run;
     latency;
     normal;
@@ -277,14 +204,8 @@ let run params =
     switch_window;
     switch_duration_ms =
       (match switch_window with Some (lo, hi) -> hi -. lo | None -> 0.0);
-    blocked_ms = g.Run.blocked_ms;
     sent;
     delivered_everywhere;
-    collector;
-    trace = Dpu_kernel.System.trace system;
-    metrics = MW.metrics g.Run.mw;
-    fault_stats = Dpu_kernel.System.fault_stats system;
-    correct = g.Run.correct;
   }
 
 let check result = Run.battery result.run 0

@@ -1,95 +1,78 @@
-(** The scenario runner behind every figure and table.
+(** The §6 reading of a run: the scenario runner behind every figure
+    and table.
 
-    One [run] simulates the paper's benchmark (§6.2): [n] stacks on a
-    LAN, a constant aggregate load of ABcast messages, optionally one
-    dynamic protocol replacement triggered mid-run, under a selectable
-    DPU approach. It returns the per-message latency series (the
-    paper's average-latency metric), the statistics split into the
-    normal period and the replacement window, and enough bookkeeping
-    to check every correctness property afterwards. *)
+    The paper's benchmark (§6.2) is one kind of {!Run.spec}: [n]
+    stacks on a LAN, a constant aggregate load of ABcast messages and
+    optionally one dynamic protocol replacement triggered mid-run,
+    under a selectable DPU approach (the profile's replacement layer).
+    [run] executes such a spec with {!Run.exec} and splits the
+    per-message latency series (the paper's average-latency metric)
+    into the normal period and the replacement window. Everything else
+    about the run — collector, kernel trace, metrics, fault ledger,
+    correct set, blocked time — is read from its {!group}. *)
 
 module Stats = Dpu_engine.Stats
 module Series = Dpu_engine.Series
 
-type approach =
-  | No_layer  (** application directly on [abcast] (Fig. 6 baseline) *)
-  | Repl  (** the paper's replacement module (Algorithm 1) *)
-  | Maestro  (** whole-stack switch baseline [20] *)
-  | Graceful  (** AAC/CA barrier baseline [6] *)
+(** {1 Building specs} *)
 
-val approach_name : approach -> string
+val default : Run.spec
+(** The paper's Fig. 5 setting: n=7, seed 1, 40 msg/s Poisson, 4 KB,
+    0.5 ms hops, load until 10 s after 500 ms of warmup, 120 s of
+    drain, CT under the [Repl] layer with a CT→CT {!switch} at 5 s.
+    Tracing and metrics are off. *)
 
-type params = {
-  n : int;
-  seed : int;
-  load : float;  (** total messages per second, Poisson arrivals *)
-  duration_ms : float;  (** load generation horizon *)
-  warmup_ms : float;  (** excluded from the "normal" statistics *)
-  msg_size : int;
-  initial : string;  (** initial ABcast variant *)
-  switch_to : string option;  (** [None]: no replacement *)
-  switch_at_ms : float;
-  approach : approach;
-  batch_size : int;
-  batching : Dpu_protocols.Batcher.config option;
-      (** throughput-mode batch aggregation in the ordering hot path
-          ([None] = the exact unbatched code paths) *)
-  loss : float;
-  hop_cost : float;
-  trace_enabled : bool;
-  metrics_enabled : bool;
-      (** allocate a live metrics registry (default off: all
-          instrumentation is no-op and results are bit-identical to a
-          run without observability) *)
-  consensus_layer : string option;
-      (** install the consensus replacement layer on this initial
-          implementation *)
-  switch_consensus : (float * string) option;
-      (** (time, target implementation): hot-swap consensus mid-run
-          (needs [consensus_layer]) *)
-  faults : Dpu_faults.Schedule.t;
-      (** declarative fault schedule, played against the network by
-          the fault shim ({!Dpu_kernel.System.create}). [Crash] is
-          fail-stop here (stack + network endpoint); [Recover] only
-          lifts the network silence, the stack stays dead. Default: no
-          faults. *)
-  log_out : string option;
-      (** write structured JSONL milestone logs (start, switch
-          triggers, crashes, completion) to this path, stamped on the
-          {e virtual} clock — identical params produce byte-identical
-          files; [None] (the default) is the noop logger *)
-  epoch_buffer : bool;
-      (** install the future-epoch wire buffer alongside the layer
-          (default [true]). Disabling it reopens the receive-side hole
-          in the generation filter; {!preflight} rejects such a plan
-          whenever a switch is requested *)
-}
+val switch : n:int -> at_ms:float -> string -> Run.trigger
+(** changeABcast to the named protocol at [at_ms], from node [n - 1]
+    of a group of [n]. A spec that changes [n] rebuilds its switch with
+    this. *)
 
-val default : params
-(** n=7, 40 msg/s, 4 KB, 10 s, CT→CT switch at 5 s under [Repl] — the
-    paper's Fig. 5 setting. *)
+val switch_at : Run.spec -> float option
+(** The time of the spec's first [Abcast] trigger. *)
+
+val with_profile :
+  (Dpu_core.Stack_builder.profile -> Dpu_core.Stack_builder.profile) ->
+  Run.spec ->
+  Run.spec
+(** Edit the stack profile of the spec's config. *)
+
+val with_layer : string option -> Run.spec -> Run.spec
+(** Put the named replacement layer in the profile. [None] (the Fig. 6
+    baseline, no layer) also drops the [Abcast] triggers: a switch
+    needs a layer. *)
+
+val approaches : (string * string option) list
+(** The DPU approaches by CLI label: ["repl"] (the paper's Algorithm
+    1), ["graceful"] (AAC/CA barrier baseline [6]), ["maestro"]
+    (whole-stack switch baseline [20]) and ["no-layer"]; each with the
+    replacement layer it installs. *)
+
+val approach_name : string option -> string
+(** The label of a replacement layer in {!approaches}. *)
+
+val fail_stop : Run.spec -> Run.spec
+(** Make every scheduled [Crash] of the spec's fault schedule also a
+    fail-stop [Crash] trigger (stack and endpoint; a later [Recover]
+    only lifts the network silence of a stack that stays dead), and
+    move each [Abcast] trigger whose node has crashed by then to the
+    next lower node still alive. *)
+
+(** {1 Running} *)
 
 type result = {
-  params : params;
   run : Run.result;  (** the underlying run, one group *)
   latency : Series.t;  (** avg latency per message, keyed by send time *)
   normal : Stats.t;  (** messages sent outside the replacement window *)
   during : Stats.t;  (** sent inside it or up to 50 ms after (cold-start tail) *)
   switch_window : (float * float) option;
-      (** [(trigger, last stack switched)] *)
+      (** [(first switch trigger, last stack switched)] *)
   switch_duration_ms : float;  (** window width; 0 when no switch *)
-  blocked_ms : float;  (** max application-blocked time over stacks *)
   sent : int;
   delivered_everywhere : int;  (** messages delivered by all correct stacks *)
-  collector : Dpu_core.Collector.t;
-  trace : Dpu_kernel.Trace.t;
-  metrics : Dpu_obs.Metrics.t;
-      (** the run's metrics registry ({!Dpu_obs.Metrics.noop} unless
-          [metrics_enabled]) *)
-  fault_stats : Dpu_faults.Fault_transport.stats;
-      (** the fault shim's ledger (all zero without a schedule) *)
-  correct : int list;
 }
+
+val group : result -> Run.group
+(** The run's one group. *)
 
 exception Preflight_failure of Dpu_props.Report.t list
 (** The static composition verifier rejected the configuration. Raised
@@ -97,24 +80,23 @@ exception Preflight_failure of Dpu_props.Report.t list
     unsafe update plan fails in milliseconds instead of surfacing as a
     stuck stack minutes into a sweep. *)
 
-val preflight : params -> Dpu_props.Report.t list
-(** Statically verify the configuration [run] would assemble
+val preflight : Run.spec -> Dpu_props.Report.t list
+(** Statically verify the configuration the spec would assemble
     ({!Dpu_analysis.Composition}): stack well-formedness, provider
-    acyclicity, unique bindings and update-plan safety for the planned
-    [switch_to] / [switch_consensus] swaps. No simulation happens. *)
+    acyclicity, unique bindings and update-plan safety for its
+    [Abcast] and [Consensus] triggers, with the spec's
+    [register_extra]. No simulation happens. Raises [Invalid_argument]
+    if {!Run.validate} rejects the spec. *)
 
-val spec : params -> Run.spec
-(** The run [params] describe: one group, the load until
-    [duration_ms] and 120 s of drain, every schedule [Crash] also a
-    fail-stop [Crash] trigger, then the ABcast switch (from the highest
-    node still alive at [switch_at_ms]) and the consensus switch (from
-    node 0). *)
-
-val run : params -> result
-(** [Run.exec (spec params)] split into normal and during-switch
+val run : ?log_out:string -> Run.spec -> result
+(** {!preflight}, then [Run.exec] split into normal and during-switch
     statistics. Raises [Invalid_argument] if {!Run.validate} rejects
-    [spec params], and {!Preflight_failure} if the static composition
-    verifier rejects the configuration. *)
+    the spec or it has more than one group, and {!Preflight_failure} if
+    the static composition verifier rejects the configuration.
+
+    [log_out] writes structured JSONL milestone logs (start, triggers,
+    completion) to that path, stamped on the {e virtual} clock: the
+    same spec produces byte-identical files. *)
 
 val check : result -> Dpu_props.Report.t list
 (** All ABcast properties plus the generic §3 properties for the run

@@ -1,10 +1,51 @@
 module Series = Dpu_engine.Series
 module Stats = Dpu_engine.Stats
+module E = Experiment
 
-let figure5 ?(n = 7) ?(load = 40.0) ?(seed = 1) () =
-  Experiment.run { Experiment.default with n; load; seed }
+(* The Fig. 5 setting at size [n], [load] and [seed]; the switch is
+   rebuilt for [n], so it still fires from the highest node. *)
+let setting ?(until_ms = E.default.Run.until_ms) ?(switch_at_ms = 5_000.0) ~n ~load ~seed
+    () =
+  {
+    E.default with
+    Run.n;
+    config = { E.default.Run.config with seed };
+    load = Run.Open { rate_per_s = load; pattern = Load_gen.Poisson };
+    until_ms;
+    triggers = [ E.switch ~n ~at_ms:switch_at_ms Dpu_core.Variants.ct ];
+  }
 
-let render_figure5 (r : Experiment.result) =
+(* Run one experiment for a sweep cell: when the sweep carries a
+   metrics registry, enable collection and fold this run's snapshot
+   into the worker's registry so the merged parent registry accounts
+   for every cell. *)
+let run_counted reg (spec : Run.spec) =
+  let with_metrics = reg != Dpu_obs.Metrics.noop in
+  let r = E.run { spec with config = { spec.config with metrics_enabled = with_metrics } } in
+  if with_metrics then
+    Dpu_obs.Metrics.merge reg
+      (Dpu_obs.Metrics.snapshot (Dpu_core.Middleware.metrics (E.group r).Run.mw));
+  r
+
+(* One cell per spec, each validated here first, so a rejected spec
+   raises [Invalid_argument] before any cell simulates or any worker
+   forks. A cell may also run variations of its spec that drop
+   triggers or the layer; those stay valid. *)
+let sweep ?jobs ?metrics specs f =
+  Array.iter Run.validate specs;
+  Sweep.run ?jobs ?metrics ~cells:(Array.length specs) (fun reg i ->
+      f (run_counted reg) i specs.(i))
+
+(* The three runs behind a Fig. 6 point, in this order: no layer,
+   layer without a switch, and the switch. *)
+let layer_runs run base =
+  let no_layer = run (E.with_layer None base) in
+  let with_layer = run { base with Run.triggers = [] } in
+  (no_layer, with_layer, run base)
+
+let figure5 ?(n = 7) ?(load = 40.0) ?(seed = 1) () = E.run (setting ~n ~load ~seed ())
+
+let render_figure5 (r : E.result) =
   let buf = Buffer.create 4096 in
   let windowed = Series.window_average r.latency ~width:250.0 in
   let points = List.map (fun (p : Series.point) -> (p.time, p.value)) windowed in
@@ -17,12 +58,22 @@ let render_figure5 (r : Experiment.result) =
       [ ("replacement window", column lo @ column hi) ]
     | None -> []
   in
+  let spec = r.run.Run.spec in
+  let load =
+    match spec.load with
+    | Run.Open { rate_per_s; _ } -> Printf.sprintf "%.0f msg/s" rate_per_s
+    | Run.Closed { clients_per_node } -> Printf.sprintf "%d clients/node" clients_per_node
+  in
+  let switch =
+    match E.switch_at spec with
+    | Some at_ms -> Printf.sprintf "switch at %.0f ms" at_ms
+    | None -> "no switch"
+  in
   Buffer.add_string buf
     (Ascii.chart
        ~title:
-         (Printf.sprintf
-            "Figure 5: ABcast latency vs send time (n=%d, %.0f msg/s, switch at %.0f ms)"
-            r.params.n r.params.load r.params.switch_at_ms)
+         (Printf.sprintf "Figure 5: ABcast latency vs send time (n=%d, %s, %s)" spec.n
+            load switch)
        ~x_unit:"ms (send time)" ~y_unit:"ms"
        (("avg latency (250 ms windows)", points) :: window_markers));
   (match r.switch_window with
@@ -44,41 +95,26 @@ type fig6_point = {
   during_ms : float;
 }
 
-(* Run one experiment for a sweep cell: when the sweep carries a
-   metrics registry, enable collection and fold this run's snapshot
-   into the worker's registry so the merged parent registry accounts
-   for every cell. *)
-let run_counted reg params =
-  let with_metrics = reg != Dpu_obs.Metrics.noop in
-  let r = Experiment.run { params with Experiment.metrics_enabled = with_metrics } in
-  if with_metrics then
-    Dpu_obs.Metrics.merge reg (Dpu_obs.Metrics.snapshot r.Experiment.metrics);
-  r
-
 let figure6_sweep ?(ns = [ 3; 7 ]) ?(loads = [ 10.0; 20.0; 40.0; 60.0; 80.0 ])
     ?(seed = 1) ?jobs ?metrics () =
   let grid =
     Array.of_list (List.concat_map (fun n -> List.map (fun load -> (n, load)) loads) ns)
   in
-  let point reg idx =
-    let n, load = grid.(idx) in
-    let base =
-      { Experiment.default with n; load; seed; duration_ms = 8_000.0; switch_at_ms = 4_000.0 }
-    in
-    let no_layer =
-      run_counted reg { base with approach = Experiment.No_layer; switch_to = None }
-    in
-    let with_layer = run_counted reg { base with switch_to = None } in
-    let switching = run_counted reg base in
-    {
-      n;
-      load;
-      no_layer_ms = Stats.mean no_layer.normal;
-      with_layer_ms = Stats.mean with_layer.normal;
-      during_ms = Stats.mean switching.during;
-    }
+  let specs =
+    Array.map
+      (fun (n, load) -> setting ~until_ms:8_000.0 ~switch_at_ms:4_000.0 ~n ~load ~seed ())
+      grid
   in
-  Sweep.run ?jobs ?metrics ~cells:(Array.length grid) point
+  sweep ?jobs ?metrics specs (fun run idx base ->
+      let no_layer, with_layer, switching = layer_runs run base in
+      let n, load = grid.(idx) in
+      {
+        n;
+        load;
+        no_layer_ms = Stats.mean no_layer.E.normal;
+        with_layer_ms = Stats.mean with_layer.E.normal;
+        during_ms = Stats.mean switching.E.during;
+      })
 
 let render_figure6 points =
   let buf = Buffer.create 4096 in
@@ -141,24 +177,19 @@ let headline_sweep ?(n = 7) ?(load = 40.0) ?(seeds = [ 1; 2; 3; 4; 5 ]) ?jobs
   (* One switch yields only a handful of during-window messages (the
      window is about one ABcast latency), so the headline aggregates
      several seeds for statistical weight. Each seed is one sweep cell. *)
-  let seeds = Array.of_list seeds in
-  let cell reg idx =
-    let base = { Experiment.default with n; load; seed = seeds.(idx) } in
-    let no_layer =
-      run_counted reg { base with approach = Experiment.No_layer; switch_to = None }
-    in
-    let with_layer = run_counted reg { base with switch_to = None } in
-    let switching = run_counted reg base in
-    {
-      hc_no_layer = Stats.samples no_layer.normal;
-      hc_with_layer = Stats.samples with_layer.normal;
-      hc_normal = Stats.samples switching.normal;
-      hc_during = Stats.samples switching.during;
-      hc_duration_ms = switching.switch_duration_ms;
-      hc_blocked_ms = switching.blocked_ms;
-    }
+  let specs = Array.of_list (List.map (fun seed -> setting ~n ~load ~seed ()) seeds) in
+  let outcome =
+    sweep ?jobs ?metrics specs (fun run _ base ->
+        let no_layer, with_layer, switching = layer_runs run base in
+        {
+          hc_no_layer = Stats.samples no_layer.E.normal;
+          hc_with_layer = Stats.samples with_layer.E.normal;
+          hc_normal = Stats.samples switching.E.normal;
+          hc_during = Stats.samples switching.E.during;
+          hc_duration_ms = switching.E.switch_duration_ms;
+          hc_blocked_ms = (E.group switching).Run.blocked_ms;
+        })
   in
-  let outcome = Sweep.run ?jobs ?metrics ~cells:(Array.length seeds) cell in
   let no_layer_all = Stats.create () in
   let with_layer_all = Stats.create () in
   let normal_all = Stats.create () in
@@ -203,7 +234,7 @@ let render_headline h =
     ]
 
 type comparison_row = {
-  approach : Experiment.approach;
+  approach : string;
   normal_ms : float;
   during_switch_ms : float;
   switch_duration : float;
@@ -212,20 +243,21 @@ type comparison_row = {
 }
 
 let compare_approaches_sweep ?(n = 5) ?(load = 40.0) ?(seed = 1) ?jobs ?metrics () =
-  let approaches = [| Experiment.Repl; Experiment.Graceful; Experiment.Maestro |] in
-  let cell reg idx =
-    let approach = approaches.(idx) in
-    let r = run_counted reg { Experiment.default with n; load; seed; approach } in
-    {
-      approach;
-      normal_ms = Stats.mean r.normal;
-      during_switch_ms = Stats.mean r.during;
-      switch_duration = r.switch_duration_ms;
-      blocked = r.blocked_ms;
-      all_delivered = r.delivered_everywhere = r.sent;
-    }
+  let approaches = [| "repl"; "graceful"; "maestro" |] in
+  let spec a = E.with_layer (List.assoc a E.approaches) (setting ~n ~load ~seed ()) in
+  let specs = Array.map spec approaches in
+  let outcome =
+    sweep ?jobs ?metrics specs (fun run idx spec ->
+        let r = run spec in
+        {
+          approach = approaches.(idx);
+          normal_ms = Stats.mean r.E.normal;
+          during_switch_ms = Stats.mean r.E.during;
+          switch_duration = r.E.switch_duration_ms;
+          blocked = (E.group r).Run.blocked_ms;
+          all_delivered = r.E.delivered_everywhere = r.E.sent;
+        })
   in
-  let outcome = Sweep.run ?jobs ?metrics ~cells:(Array.length approaches) cell in
   (Array.to_list outcome.Sweep.results, outcome.Sweep.stats)
 
 let render_comparison rows =
@@ -235,7 +267,7 @@ let render_comparison rows =
     (List.map
        (fun r ->
          [
-           Experiment.approach_name r.approach;
+           r.approach;
            Printf.sprintf "%.2f" r.normal_ms;
            Printf.sprintf "%.2f" r.during_switch_ms;
            Printf.sprintf "%.1f" r.switch_duration;

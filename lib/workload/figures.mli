@@ -5,13 +5,20 @@
     ran unoptimised Java on Pentium-III hardware); we reproduce the
     *shape* of each result: where the spike is and how long it lasts
     (Fig. 5), how latency grows with load and with n, and how small the
-    replacement layer's overhead is (Fig. 6, ≈5 %). *)
+    replacement layer's overhead is (Fig. 6, ≈5 %).
+
+    Every run is {!Experiment.default} at another size, load and seed.
+    Each entry point validates all of its specs first: a rejected one
+    raises [Invalid_argument] before any simulation step or
+    {!Sweep} worker fork. *)
 
 (** {1 Figure 5} — latency of each ABcast vs. its send time; a
     replacement (CT → CT, all steps executed) is triggered mid-run.
     n = 7, 40 msg/s, 4 KB messages. *)
 
 val figure5 : ?n:int -> ?load:float -> ?seed:int -> unit -> Experiment.result
+(** {!Experiment.default} at [n], [load] and [seed] (the switch fires
+    from node [n - 1]). *)
 
 val render_figure5 : Experiment.result -> string
 
@@ -72,7 +79,7 @@ val render_headline : headline -> string
 (** {1 Approach comparison} (the paper's §4.2/§5.3 claims, quantified) *)
 
 type comparison_row = {
-  approach : Experiment.approach;
+  approach : string;  (** label in {!Experiment.approaches} *)
   normal_ms : float;
   during_switch_ms : float;
   switch_duration : float;
@@ -88,6 +95,6 @@ val compare_approaches_sweep :
   ?metrics:Dpu_obs.Metrics.t ->
   unit ->
   comparison_row list * Sweep.stats
-(** One {!Sweep} cell per approach. *)
+(** One {!Sweep} cell per approach: repl, graceful, maestro. *)
 
 val render_comparison : comparison_row list -> string

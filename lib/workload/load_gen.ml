@@ -15,31 +15,38 @@ let start mw ~rate_per_s ?(pattern = Constant) ?size ?(body = "payload") ~until 
   let clock = Dpu_kernel.System.clock system in
   let rng = Rng.split (Dpu_kernel.System.rng system) in
   let per_node_gap = 1000.0 /. (rate_per_s /. float_of_int n) in
-  let next_gap node =
+  let next_gap node ~due =
     match pattern with
     | Constant -> per_node_gap
     | Poisson -> Rng.exponential rng ~mean:per_node_gap
     | Burst { period_ms; duty } ->
       (* Send at rate/duty while inside the duty window, else wait for
          the next window. *)
-      let t = Clock.now clock in
-      let phase = Float.rem t period_ms in
+      let phase = Float.rem due period_ms in
       if phase < period_ms *. duty then per_node_gap *. duty
       else period_ms -. phase +. (Rng.float rng *. 0.1 *. float_of_int node)
   in
-  let rec loop node () =
-    if Clock.now clock < until then begin
+  (* Each send is re-armed from the moment it was due, not from the
+     moment it fired: a live clock wakes late, and re-arming from the
+     wake-up would add every lateness to all later sends. The simulator
+     fires exactly on time, so there the correction is 0. *)
+  let rec loop node due () =
+    let now = Clock.now clock in
+    if now < until then begin
       ignore (MW.broadcast mw ~node ?size body : Dpu_kernel.Msg.t);
-      Clock.defer clock ~delay:(next_gap node) (loop node)
+      let gap = next_gap node ~due in
+      let delay = Float.max 0.0 (gap -. (now -. due)) in
+      Clock.defer clock ~delay (loop node (due +. gap))
     end
   in
   (* Only the nodes local to this process generate load (all of them in
      a simulated deployment). *)
+  let start = Clock.now clock in
   List.iter
     (fun node ->
       (* Stagger start phases so the aggregate load is smooth. *)
       let phase = per_node_gap *. float_of_int node /. float_of_int n in
-      Clock.defer clock ~delay:phase (loop node))
+      Clock.defer clock ~delay:phase (loop node (start +. phase)))
     (Dpu_kernel.System.local_nodes system)
 
 let closed_loop mw ~clients_per_node ?size ~until () =

@@ -23,7 +23,10 @@ val start :
   unit
 (** Schedule broadcasts on every node from now until virtual time
     [until] (ms). Total system rate is [rate_per_s]; raises
-    [Invalid_argument] unless it is finite and > 0. *)
+    [Invalid_argument] unless it is finite and > 0. Each node keeps
+    its own schedule of due times: a callback that fires late (a live
+    clock's wake-up) shortens the next gap by its lateness instead of
+    pushing every later send back. *)
 
 val closed_loop :
   Dpu_core.Middleware.t ->

@@ -1,6 +1,9 @@
 (** The one run driver: every simulated experiment is a {!spec}
-    executed by {!exec}; the figure, corpus, sharding and throughput
-    drivers are projections of its {!result}.
+    executed by {!exec}, and {!spec} is the only description of a
+    simulated run. The §6 experiments ({!Experiment}, whose [default]
+    is the Fig. 5 spec), the figures, corpus, sharding, throughput
+    and bench drivers build specs directly and read their numbers off
+    its {!result}.
 
     [exec] builds the groups ({!Dpu_core.Middleware.create}[ ~faults]
     for one group, {!Dpu_core.Fabric.create} otherwise), then defers

@@ -15,6 +15,7 @@ module Variants = Dpu_core.Variants
 module Batcher = Dpu_protocols.Batcher
 module Schedule = Dpu_faults.Schedule
 module E = Dpu_workload.Experiment
+module Run = Dpu_workload.Run
 module Report = Dpu_props.Report
 
 let check = Alcotest.check
@@ -491,21 +492,19 @@ let discriminating_faults =
     Schedule.heal ~at:2_600.0;
   ]
 
-let agreement_params ~initial ~target ~epoch_buffer =
-  {
-    E.default with
-    n = 5;
-    seed = 102;
-    load = 30.0;
-    duration_ms = 4_000.0;
-    switch_at_ms = 2_000.0;
-    initial;
-    switch_to = Some target;
-    msg_size = 1024;
-    trace_enabled = true;
-    faults = discriminating_faults;
-    epoch_buffer;
-  }
+let agreement_spec ~initial ~target ~epoch_buffer =
+  E.with_profile
+    (fun p -> { p with initial_abcast = initial; epoch_buffer })
+    {
+      E.default with
+      n = 5;
+      config =
+        { E.default.Run.config with seed = 102; msg_size = 1024; trace_enabled = true };
+      faults = discriminating_faults;
+      load = Run.Open { rate_per_s = 30.0; pattern = Dpu_workload.Load_gen.Poisson };
+      until_ms = 4_000.0;
+      triggers = [ E.switch ~n:5 ~at_ms:2_000.0 target ];
+    }
 
 (* Pairs the static checker accepts must survive the property battery
    across a mid-stream swap under the discriminating schedule. *)
@@ -514,7 +513,7 @@ let test_safe_pairs_static_eq_dynamic () =
     (fun (initial, target) ->
       let profile = { SB.default_profile with initial_abcast = initial } in
       assert_all_ok (verify ~updates:[ target ] profile);
-      let result = E.run (agreement_params ~initial ~target ~epoch_buffer:true) in
+      let result = E.run (agreement_spec ~initial ~target ~epoch_buffer:true) in
       List.iter
         (fun (r : Report.t) ->
           check Alcotest.bool
@@ -590,16 +589,17 @@ let test_preflight_accepts_default () =
   assert_all_ok (E.preflight E.default)
 
 let test_preflight_rejects_bad_swap () =
-  let params =
-    {
-      E.default with
-      initial = Dpu_core.Variants.sequencer;
-      switch_to = Some Dpu_protocols.Consensus_ct.protocol_name;
-    }
+  let spec =
+    E.with_profile
+      (fun p -> { p with initial_abcast = Dpu_core.Variants.sequencer })
+      {
+        E.default with
+        triggers = [ E.switch ~n:7 ~at_ms:5_000.0 Dpu_protocols.Consensus_ct.protocol_name ];
+      }
   in
   check Alcotest.bool "preflight fails" false
-    (Report.all_ok (E.preflight params));
-  match E.run { params with duration_ms = 50.0 } with
+    (Report.all_ok (E.preflight spec));
+  match E.run { spec with until_ms = 50.0 } with
   | exception E.Preflight_failure reports ->
     check Alcotest.bool "carries failing reports" false (Report.all_ok reports)
   | _ -> Alcotest.fail "expected Preflight_failure"
@@ -608,14 +608,14 @@ let test_preflight_rejects_bad_swap () =
    simulation — [E.run] raises [Preflight_failure] before any event,
    so no message is ever sent under the unsafe configuration. *)
 let test_preflight_rejects_unsafe_behaviour () =
-  let params = { E.default with epoch_buffer = false } in
-  let reports = E.preflight params in
+  let spec = E.with_profile (fun p -> { p with epoch_buffer = false }) E.default in
+  let reports = E.preflight spec in
   check Alcotest.bool "preflight fails" false (Report.all_ok reports);
   some_violation_mentions reports "behavioural update safety" "counterexample:";
   (* Precision: with no planned switch the same profile is merely
      fragile, not unsafe — preflight accepts it. *)
-  assert_all_ok (E.preflight { params with switch_to = None });
-  match E.run { params with duration_ms = 50.0 } with
+  assert_all_ok (E.preflight { spec with triggers = [] });
+  match E.run { spec with until_ms = 50.0 } with
   | exception E.Preflight_failure reports ->
     let r = behaviour_report reports in
     check Alcotest.bool "behavioural report is the failing one" false
@@ -624,6 +624,14 @@ let test_preflight_rejects_unsafe_behaviour () =
       (r.Report.checked > 0)
   | result ->
     Alcotest.failf "expected Preflight_failure, ran and sent %d" result.E.sent
+
+(* An empty group is a spec error, reported as [Invalid_argument]
+   before the scratch system is built (which would trip an assertion
+   in the network model). *)
+let test_preflight_rejects_empty_group () =
+  match E.preflight { E.default with n = 0 } with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument"
 
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                        *)
@@ -972,6 +980,7 @@ let () =
           tc "accepts default" test_preflight_accepts_default;
           tc "rejects bad swap" test_preflight_rejects_bad_swap;
           tc "rejects unsafe behaviour" test_preflight_rejects_unsafe_behaviour;
+          tc "rejects an empty group" test_preflight_rejects_empty_group;
         ] );
       ( "json",
         [

@@ -408,11 +408,10 @@ let test_corpus_replay_deterministic () =
   in
   (* Fig. 5 with a fail-stop crash of node 3 at 2 s, before the switch. *)
   let fig5_crash =
-    let spec = E.spec E.default in
     {
-      spec with
+      E.default with
       Run.triggers =
-        { Run.at_ms = 2_000.0; shard = 0; node = 3; action = Run.Crash } :: spec.Run.triggers;
+        { Run.at_ms = 2_000.0; shard = 0; node = 3; action = Run.Crash } :: E.default.Run.triggers;
     }
   in
   let rolling_closed =
@@ -594,20 +593,17 @@ let test_nemesis_respects_classes () =
 
 (* ABcast replacement at 2000 ms while the scheduled fault is active;
    afterwards the §5 properties must hold across the switch. *)
-let soak_params ~seed faults =
-  {
-    E.default with
-    n = 5;
-    seed;
-    load = 30.0;
-    duration_ms = 4_000.0;
-    switch_at_ms = 2_000.0;
-    initial = Dpu_core.Variants.ct;
-    switch_to = Some Dpu_core.Variants.sequencer;
-    msg_size = 1024;
-    trace_enabled = true;
-    faults;
-  }
+let soak_spec ~seed faults =
+  E.fail_stop
+    {
+      E.default with
+      n = 5;
+      config = { E.default.Run.config with seed; msg_size = 1024; trace_enabled = true };
+      faults;
+      load = Run.Open { rate_per_s = 30.0; pattern = Dpu_workload.Load_gen.Poisson };
+      until_ms = 4_000.0;
+      triggers = [ E.switch ~n:5 ~at_ms:2_000.0 Dpu_core.Variants.sequencer ];
+    }
 
 let assert_props_hold ~what result =
   let reports = E.check result in
@@ -639,22 +635,23 @@ let assert_props_hold ~what result =
 
 let test_switch_during_crash () =
   let faults = [ Schedule.crash ~at:1_500.0 3 ] in
-  let result = E.run (soak_params ~seed:101 faults) in
+  let result = E.run (soak_spec ~seed:101 faults) in
   check (Alcotest.list Alcotest.int) "crashed node excluded" [ 0; 1; 2; 4 ]
-    result.E.correct;
+    (E.group result).Run.correct;
   assert_props_hold ~what:"switch-during-crash" result
 
 let test_switch_during_partition () =
   let faults =
     [ Schedule.partition ~at:1_500.0 [ [ 0; 1; 2; 3 ]; [ 4 ] ]; Schedule.heal ~at:2_600.0 ]
   in
-  let result = E.run (soak_params ~seed:102 faults) in
-  check (Alcotest.list Alcotest.int) "nobody crashed" [ 0; 1; 2; 3; 4 ] result.E.correct;
+  let result = E.run (soak_spec ~seed:102 faults) in
+  check (Alcotest.list Alcotest.int) "nobody crashed" [ 0; 1; 2; 3; 4 ]
+    (E.group result).Run.correct;
   assert_props_hold ~what:"switch-during-partition" result
 
 let test_switch_during_loss_window () =
   let faults = [ Schedule.loss_window ~p:0.2 ~from_:1_500.0 ~until:2_600.0 ] in
-  let result = E.run (soak_params ~seed:103 faults) in
+  let result = E.run (soak_spec ~seed:103 faults) in
   assert_props_hold ~what:"switch-during-loss" result
 
 let test_switch_under_nemesis () =
@@ -665,7 +662,7 @@ let test_switch_under_nemesis () =
       let faults =
         Nemesis.generate ~rng:(Rng.create ~seed) ~n:5 ~horizon_ms:4_000.0 ~faults:3 ()
       in
-      let result = E.run (soak_params ~seed faults) in
+      let result = E.run (soak_spec ~seed faults) in
       assert_props_hold
         ~what:(Printf.sprintf "nemesis seed %d [%s]" seed
                  (Format.asprintf "%a" Schedule.pp faults))
@@ -716,11 +713,11 @@ let test_crash_then_recover_stays_fail_stop () =
      a later recover lifts the shim's network silence, but the process
      model has no rejoin, so node 2 stays out of the correct set. *)
   let faults = [ Schedule.crash ~at:500.0 2; Schedule.recover ~at:900.0 2 ] in
-  let result = E.run (soak_params ~seed:104 faults) in
-  check (Alcotest.list Alcotest.int) "crashed node stays excluded" [ 0; 1; 3; 4 ]
-    result.E.correct;
+  let result = E.run (soak_spec ~seed:104 faults) in
+  let g = E.group result in
+  check (Alcotest.list Alcotest.int) "crashed node stays excluded" [ 0; 1; 3; 4 ] g.Run.correct;
   check Alcotest.bool "the shim silenced it" true
-    (result.E.fault_stats.FT.blocked_crash > 0);
+    ((Dpu_kernel.System.fault_stats (Dpu_core.Middleware.system g.Run.mw)).FT.blocked_crash > 0);
   assert_props_hold ~what:"crash-then-recover" result
 
 let test_faults_after_horizon_pass_through () =
@@ -739,12 +736,14 @@ let test_faults_after_horizon_pass_through () =
     ]
   in
   let observe faults =
-    let r = E.run { (soak_params ~seed:105 faults) with trace_enabled = false } in
-    let c = r.E.collector in
+    let spec = soak_spec ~seed:105 faults in
+    let r = E.run { spec with config = { spec.config with trace_enabled = false } } in
+    let g = E.group r in
+    let c = g.Run.collector in
     ( Dpu_core.Collector.sends c,
       List.init 5 (fun node -> Dpu_core.Collector.delivers_of c ~node),
       Dpu_core.Collector.switches c,
-      r.E.fault_stats )
+      Dpu_kernel.System.fault_stats (Dpu_core.Middleware.system g.Run.mw) )
   in
   let sends, delivers, switches, stats = observe faults in
   let sends0, delivers0, switches0, _ = observe [] in
@@ -755,8 +754,7 @@ let test_faults_after_horizon_pass_through () =
   check Alcotest.bool "the shim never fired" true (stats = FT.no_stats)
 
 let test_experiment_rejects_bad_schedule () =
-  let params = soak_params ~seed:1 [ Schedule.crash ~at:100.0 99 ] in
-  match E.run params with
+  match E.run (soak_spec ~seed:1 [ Schedule.crash ~at:100.0 99 ]) with
   | exception Invalid_argument _ -> ()
   | _ -> fail "expected Invalid_argument"
 

@@ -550,7 +550,7 @@ let test_serve_merged_trace_matches_collector () =
             check
               Alcotest.(list (pair int (pair (float 1e-6) (float 1e-6))))
               "windows in the artifact = windows the parent measured" timeline
-              (Spans.windows_of_trace_events events);
+              (Dpu_obs.Report_html.windows_of_events events);
             (* The merge carries every node's own events too. *)
             let node_instants =
               List.filter

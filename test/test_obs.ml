@@ -12,6 +12,7 @@ module RH = Dpu_obs.Report_html
 module Spans = Dpu_core.Spans
 module Collector = Dpu_core.Collector
 module E = Dpu_workload.Experiment
+module Run = Dpu_workload.Run
 module Series = Dpu_engine.Series
 
 let check = Alcotest.check
@@ -482,11 +483,11 @@ let test_windows_roundtrip_through_trace () =
      the property the live merge relies on. *)
   let events = Spans.of_run ~n:2 c in
   check windows_testable "windows survive the trace" timeline
-    (Spans.windows_of_trace_events events);
+    (Dpu_obs.Report_html.windows_of_events events);
   (* And survive a serialisation round-trip through JSON. *)
   match Dpu_obs.Trace_event.events_of_json (Spans.to_json events) with
   | Ok back -> check windows_testable "windows survive JSON" timeline
-                 (Spans.windows_of_trace_events back)
+                 (Dpu_obs.Report_html.windows_of_events back)
   | Error e -> fail e
 
 (* ------------------------------------------------------------------ *)
@@ -550,26 +551,30 @@ let test_report_html_empty_inputs () =
 (* End-to-end: metrics-enabled experiment                             *)
 (* ------------------------------------------------------------------ *)
 
-let obs_params =
+let obs_spec =
   {
     E.default with
     n = 3;
-    load = 30.0;
-    duration_ms = 2_000.0;
+    config =
+      { E.default.Run.config with msg_size = 512; metrics_enabled = true; trace_enabled = true };
+    load = Run.Open { rate_per_s = 30.0; pattern = Dpu_workload.Load_gen.Poisson };
+    until_ms = 2_000.0;
     warmup_ms = 200.0;
-    switch_at_ms = 1_000.0;
-    msg_size = 512;
-    metrics_enabled = true;
-    trace_enabled = true;
+    triggers = [ E.switch ~n:3 ~at_ms:1_000.0 Dpu_core.Variants.ct ];
   }
 
+let metrics_of r = Dpu_core.Middleware.metrics (E.group r).Run.mw
+
+let without_metrics (s : Run.spec) = { s with config = { s.config with metrics_enabled = false } }
+
 let test_cross_layer_invariants () =
-  let r = E.run obs_params in
-  let m = r.E.metrics in
+  let r = E.run obs_spec in
+  let m = metrics_of r in
+  let collector = (E.group r).Run.collector in
   check Alcotest.bool "registry live" true (M.enabled m);
   (* The middleware's own send counter must agree with the collector. *)
   check (Alcotest.option (Alcotest.float 0.0)) "sends agree"
-    (Some (float_of_int (Collector.send_count r.E.collector)))
+    (Some (float_of_int (Collector.send_count collector)))
     (M.value m "app_sends_total");
   (* The epoch buffer can only replay what it stashed. *)
   check Alcotest.bool "replayed <= stashed" true
@@ -600,15 +605,15 @@ let test_cross_layer_invariants () =
   (* Every node switched exactly once: the per-node switch counters sum
      to n, and so do the collector's switch records. *)
   check (Alcotest.float 0.0) "repl switches = collector switches"
-    (float_of_int (List.length (Collector.switches r.E.collector)))
+    (float_of_int (List.length (Collector.switches collector)))
     (M.sum m "repl_switches_total");
   (* Delivery counters: each node's app monitor counted its own
      deliveries. *)
   let delivered_via_collector =
     List.fold_left
       (fun acc node ->
-        acc + List.length (Collector.delivers_of r.E.collector ~node))
-      0 r.E.correct
+        acc + List.length (Collector.delivers_of collector ~node))
+      0 (E.group r).Run.correct
   in
   check (Alcotest.float 0.0) "app delivers = collector delivers"
     (float_of_int delivered_via_collector)
@@ -621,11 +626,11 @@ let read_file path =
   s
 
 (* The experiment logger is stamped on the virtual clock: identical
-   params must produce byte-identical JSONL files across runs. *)
+   specs must produce byte-identical JSONL files across runs. *)
 let test_experiment_log_deterministic () =
   let emit tag =
     let path = Filename.temp_file ("dpu_obs_" ^ tag) ".jsonl" in
-    let r = E.run { obs_params with log_out = Some path } in
+    let r = E.run ~log_out:path obs_spec in
     ignore (r : E.result);
     let s = read_file path in
     Sys.remove path;
@@ -647,17 +652,18 @@ let test_experiment_log_deterministic () =
       (List.sort compare times = times)
 
 let test_metrics_off_is_noop_registry () =
-  let r = E.run { obs_params with metrics_enabled = false; trace_enabled = false } in
-  check Alcotest.bool "noop registry" true (not (M.enabled r.E.metrics));
-  check Alcotest.bool "no series" true (M.names r.E.metrics = [])
+  let spec = without_metrics obs_spec in
+  let r = E.run { spec with config = { spec.config with trace_enabled = false } } in
+  check Alcotest.bool "noop registry" true (not (M.enabled (metrics_of r)));
+  check Alcotest.bool "no series" true (M.names (metrics_of r) = [])
 
 (* The acceptance criterion behind the no-op path: enabling metrics
    must not perturb the simulation. Virtual time is deterministic, so
    the latency series must be *identical*, not just statistically
    close. *)
 let test_metrics_do_not_perturb_results () =
-  let on = E.run obs_params in
-  let off = E.run { obs_params with metrics_enabled = false } in
+  let on = E.run obs_spec in
+  let off = E.run (without_metrics obs_spec) in
   let pts r = List.map (fun (p : Series.point) -> (p.time, p.value)) (Series.points r.E.latency) in
   check Alcotest.int "same message count" (List.length (pts off)) (List.length (pts on));
   check Alcotest.bool "bit-identical latency series" true (pts on = pts off);

@@ -2,23 +2,27 @@
    experiment harness behind the figures. *)
 
 module W = Dpu_workload
+module E = Dpu_workload.Experiment
+module Run = Dpu_workload.Run
 module MW = Dpu_core.Middleware
 module Stats = Dpu_engine.Stats
 
 let check = Alcotest.check
 let fail = Alcotest.fail
 
-(* Small, fast experiment parameters. *)
+(* A small, fast experiment. *)
 let small =
   {
-    W.Experiment.default with
+    E.default with
     n = 3;
-    load = 30.0;
-    duration_ms = 2_000.0;
+    config = { E.default.Run.config with msg_size = 512 };
+    load = Run.Open { rate_per_s = 30.0; pattern = W.Load_gen.Poisson };
+    until_ms = 2_000.0;
     warmup_ms = 200.0;
-    switch_at_ms = 1_000.0;
-    msg_size = 512;
+    triggers = [ E.switch ~n:3 ~at_ms:1_000.0 Dpu_core.Variants.ct ];
   }
+
+let traced (s : Run.spec) = { s with config = { s.config with trace_enabled = true } }
 
 (* ------------------------------------------------------------------ *)
 (* Load generators                                                    *)
@@ -85,6 +89,24 @@ let test_load_spread_across_nodes () =
     (fun c -> check Alcotest.bool "each node sends" true (c > 10))
     per_node
 
+(* Lateness must not accumulate. A live clock wakes up late: here every
+   callback fires 1 ms after it was due. Re-arming each send from its
+   firing would stretch every 10 ms gap to 11 ms (91 sends, not 100). *)
+let test_late_clock_keeps_rate () =
+  let sim = Dpu_engine.Sim.create () in
+  let rt = Dpu_runtime.Sim_backend.runtime sim (Dpu_net.Datagram.create sim ~n:1 ()) in
+  let clock = rt.Dpu_runtime.Runtime.clock in
+  let late = { clock with defer = (fun ~delay fn -> clock.defer ~delay:(delay +. 1.0) fn) } in
+  let system =
+    Dpu_kernel.System.of_runtime ~runtime:{ rt with clock = late } ~trace_enabled:false ~n:1 ()
+  in
+  let mw = MW.of_system system in
+  W.Load_gen.start mw ~rate_per_s:100.0 ~until:1_000.0 ();
+  Dpu_engine.Sim.run ~until:1_100.0 sim;
+  let sent = Dpu_core.Collector.send_count (MW.collector mw) in
+  if abs (sent - 100) > 1 then
+    fail (Printf.sprintf "100 msg/s for 1 s on a late clock sent %d" sent)
+
 (* ------------------------------------------------------------------ *)
 (* Ascii                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -118,45 +140,43 @@ let test_ascii_vbars () =
 (* ------------------------------------------------------------------ *)
 
 let test_experiment_runs_and_delivers () =
-  let r = W.Experiment.run small in
-  check Alcotest.bool "sent some" true (r.W.Experiment.sent > 30);
-  check Alcotest.int "all delivered everywhere" r.W.Experiment.sent
-    r.W.Experiment.delivered_everywhere;
-  check Alcotest.bool "switch completed" true (r.W.Experiment.switch_window <> None);
-  check Alcotest.bool "normal stats populated" true (Stats.count r.W.Experiment.normal > 0)
+  let r = E.run small in
+  check Alcotest.bool "sent some" true (r.E.sent > 30);
+  check Alcotest.int "all delivered everywhere" r.E.sent
+    r.E.delivered_everywhere;
+  check Alcotest.bool "switch completed" true (r.E.switch_window <> None);
+  check Alcotest.bool "normal stats populated" true (Stats.count r.E.normal > 0)
 
 let test_experiment_no_switch () =
-  let r = W.Experiment.run { small with switch_to = None } in
-  check Alcotest.bool "no window" true (r.W.Experiment.switch_window = None);
-  check (Alcotest.float 0.0) "no duration" 0.0 r.W.Experiment.switch_duration_ms;
-  check Alcotest.int "during empty" 0 (Stats.count r.W.Experiment.during)
+  let r = E.run { small with triggers = [] } in
+  check Alcotest.bool "no window" true (r.E.switch_window = None);
+  check (Alcotest.float 0.0) "no duration" 0.0 r.E.switch_duration_ms;
+  check Alcotest.int "during empty" 0 (Stats.count r.E.during)
 
 let test_experiment_no_layer () =
-  let r =
-    W.Experiment.run { small with approach = W.Experiment.No_layer; switch_to = None }
-  in
-  check Alcotest.int "all delivered" r.W.Experiment.sent r.W.Experiment.delivered_everywhere
+  let r = E.run (E.with_layer None { small with triggers = [] }) in
+  check Alcotest.int "all delivered" r.E.sent r.E.delivered_everywhere
 
 let test_experiment_no_layer_ignores_switch () =
   (* A switch request without a layer is meaningless; the harness must
      simply not schedule one. *)
-  let r = W.Experiment.run { small with approach = W.Experiment.No_layer } in
-  check Alcotest.bool "no window" true (r.W.Experiment.switch_window = None)
+  let r = E.run (E.with_layer None small) in
+  check Alcotest.bool "no window" true (r.E.switch_window = None)
 
 let test_experiment_maestro_blocks () =
-  let r = W.Experiment.run { small with approach = W.Experiment.Maestro } in
-  check Alcotest.bool "blocked time recorded" true (r.W.Experiment.blocked_ms > 50.0);
-  check Alcotest.int "still all delivered" r.W.Experiment.sent
-    r.W.Experiment.delivered_everywhere
+  let r = E.run (E.with_layer (Some Dpu_baselines.Maestro.protocol_name) small) in
+  check Alcotest.bool "blocked time recorded" true ((E.group r).Run.blocked_ms > 50.0);
+  check Alcotest.int "still all delivered" r.E.sent
+    r.E.delivered_everywhere
 
 let test_experiment_graceful () =
-  let r = W.Experiment.run { small with approach = W.Experiment.Graceful } in
-  check (Alcotest.float 0.0) "graceful does not block" 0.0 r.W.Experiment.blocked_ms;
-  check Alcotest.int "all delivered" r.W.Experiment.sent r.W.Experiment.delivered_everywhere
+  let r = E.run (E.with_layer (Some Dpu_baselines.Graceful.protocol_name) small) in
+  check (Alcotest.float 0.0) "graceful does not block" 0.0 (E.group r).Run.blocked_ms;
+  check Alcotest.int "all delivered" r.E.sent r.E.delivered_everywhere
 
 let test_experiment_check_clean () =
-  let r = W.Experiment.run { small with trace_enabled = true } in
-  let reports = W.Experiment.check r in
+  let r = E.run (traced small) in
+  let reports = E.check r in
   check Alcotest.bool "several properties" true (List.length reports >= 5);
   List.iter
     (fun rep ->
@@ -165,35 +185,36 @@ let test_experiment_check_clean () =
 
 let test_experiment_crash_injection () =
   let r =
-    W.Experiment.run
-      {
-        small with
-        n = 5;
-        switch_at_ms = 1_200.0;
-        faults = [ Dpu_faults.Schedule.crash ~at:500.0 2 ];
-      }
+    E.run
+      (E.fail_stop
+         {
+           small with
+           n = 5;
+           faults = [ Dpu_faults.Schedule.crash ~at:500.0 2 ];
+           triggers = [ E.switch ~n:5 ~at_ms:1_200.0 Dpu_core.Variants.ct ];
+         })
   in
-  check (Alcotest.list Alcotest.int) "correct nodes" [ 0; 1; 3; 4 ] r.W.Experiment.correct;
-  let reports = Dpu_props.Abcast_props.check_all r.W.Experiment.collector
-      ~correct:r.W.Experiment.correct in
+  let g = E.group r in
+  check (Alcotest.list Alcotest.int) "correct nodes" [ 0; 1; 3; 4 ] g.Run.correct;
+  let reports = Dpu_props.Abcast_props.check_all g.Run.collector ~correct:g.Run.correct in
   List.iter
     (fun rep ->
       check Alcotest.bool rep.Dpu_props.Report.property true rep.Dpu_props.Report.ok)
     reports
 
 let test_experiment_determinism () =
-  let r1 = W.Experiment.run small in
-  let r2 = W.Experiment.run small in
-  check Alcotest.int "same sends" r1.W.Experiment.sent r2.W.Experiment.sent;
+  let r1 = E.run small in
+  let r2 = E.run small in
+  check Alcotest.int "same sends" r1.E.sent r2.E.sent;
   check (Alcotest.float 1e-9) "same mean latency"
-    (Stats.mean r1.W.Experiment.normal)
-    (Stats.mean r2.W.Experiment.normal)
+    (Stats.mean r1.E.normal)
+    (Stats.mean r2.E.normal)
 
 let test_experiment_seed_changes_run () =
-  let r1 = W.Experiment.run small in
-  let r2 = W.Experiment.run { small with seed = 99 } in
+  let r1 = E.run small in
+  let r2 = E.run { small with config = { small.config with seed = 99 } } in
   check Alcotest.bool "different latencies" true
-    (Stats.mean r1.W.Experiment.normal <> Stats.mean r2.W.Experiment.normal)
+    (Stats.mean r1.E.normal <> Stats.mean r2.E.normal)
 
 (* ------------------------------------------------------------------ *)
 (* Throughput mode: batching under replacement, and the speedup       *)
@@ -209,22 +230,22 @@ let batched_cfg = { Dpu_protocols.Batcher.max_batch = 64; max_delay_ms = 200.0 }
    must survive. *)
 let run_switch_mid_batch ~initial ~target =
   let r =
-    W.Experiment.run
-      {
-        small with
-        load = 100.0;
-        initial;
-        switch_to = Some target;
-        batching = Some batched_cfg;
-      }
+    E.run
+      (E.with_profile
+         (fun p -> { p with initial_abcast = initial; batching = Some batched_cfg })
+         {
+           small with
+           load = Run.Open { rate_per_s = 100.0; pattern = W.Load_gen.Poisson };
+           triggers = [ E.switch ~n:3 ~at_ms:1_000.0 target ];
+         })
   in
-  check Alcotest.bool "switch completed" true (r.W.Experiment.switch_window <> None);
+  check Alcotest.bool "switch completed" true (r.E.switch_window <> None);
   check Alcotest.int "no message lost or stranded in a batch"
-    r.W.Experiment.sent r.W.Experiment.delivered_everywhere;
+    r.E.sent r.E.delivered_everywhere;
   List.iter
     (fun rep ->
       check Alcotest.bool rep.Dpu_props.Report.property true rep.Dpu_props.Report.ok)
-    (W.Experiment.check r)
+    (E.check r)
 
 let test_switch_mid_batch_seq_to_ct () =
   run_switch_mid_batch ~initial:Dpu_core.Variants.sequencer ~target:Dpu_core.Variants.ct
@@ -262,16 +283,17 @@ let test_switch_window_agrees_with_trace () =
      learns of it via the Protocol_changed indication a fixed number of
      dispatch hops later. *)
   let module Trace = Dpu_kernel.Trace in
-  let r = W.Experiment.run { small with trace_enabled = true } in
+  let r = E.run (traced small) in
+  let collector = (E.group r).Run.collector in
   let kernel_switches =
-    Trace.filter r.W.Experiment.trace (fun e ->
+    Trace.filter (Dpu_kernel.System.trace (MW.system (E.group r).Run.mw)) (fun e ->
         match e.Trace.kind with
         | Trace.App ("repl.switch", _) -> true
         | _ -> false)
   in
-  check Alcotest.int "one kernel switch per node" small.W.Experiment.n
+  check Alcotest.int "one kernel switch per node" small.Run.n
     (List.length kernel_switches);
-  let collector_switches = Dpu_core.Collector.switches r.W.Experiment.collector in
+  let collector_switches = Dpu_core.Collector.switches collector in
   check Alcotest.int "collector saw the same switches"
     (List.length kernel_switches)
     (List.length collector_switches);
@@ -288,7 +310,7 @@ let test_switch_window_agrees_with_trace () =
           true
           (t_collector >= e.Trace.time && t_collector -. e.Trace.time <= slack))
     collector_switches;
-  match Dpu_core.Collector.switch_window r.W.Experiment.collector ~generation:1 with
+  match Dpu_core.Collector.switch_window collector ~generation:1 with
   | None -> fail "no switch window"
   | Some (lo, hi) ->
     let times = List.map (fun e -> e.Trace.time) kernel_switches in
@@ -302,14 +324,12 @@ let test_switch_window_agrees_with_trace () =
 let test_layer_overhead_positive () =
   (* The replacement layer adds a dispatch hop: with-layer latency must
      exceed no-layer latency, by a small factor (paper: ~5%). *)
-  let base = { small with switch_to = None; duration_ms = 3_000.0 } in
-  let without =
-    W.Experiment.run { base with approach = W.Experiment.No_layer }
-  in
-  let with_layer = W.Experiment.run base in
+  let base = { small with triggers = []; until_ms = 3_000.0 } in
+  let without = E.run (E.with_layer None base) in
+  let with_layer = E.run base in
   let overhead =
-    (Stats.mean with_layer.W.Experiment.normal -. Stats.mean without.W.Experiment.normal)
-    /. Stats.mean without.W.Experiment.normal
+    (Stats.mean with_layer.E.normal -. Stats.mean without.E.normal)
+    /. Stats.mean without.E.normal
   in
   check Alcotest.bool
     (Printf.sprintf "overhead %.3f in (0, 0.25)" overhead)
@@ -318,7 +338,7 @@ let test_layer_overhead_positive () =
 
 let test_figures_render () =
   (* Smoke-render each figure artifact on small runs. *)
-  let r = W.Experiment.run small in
+  let r = E.run small in
   let s5 = W.Figures.render_figure5 r in
   check Alcotest.bool "fig5 text" true (String.length s5 > 100);
   let points =
@@ -342,8 +362,8 @@ let test_comparison_rows () =
   let rows, _ = W.Figures.compare_approaches_sweep ~n:3 ~load:20.0 ~seed:1 () in
   check Alcotest.int "three approaches" 3 (List.length rows);
   let find a = List.find (fun r -> r.W.Figures.approach = a) rows in
-  let repl = find W.Experiment.Repl in
-  let maestro = find W.Experiment.Maestro in
+  let repl = find "repl" in
+  let maestro = find "maestro" in
   check (Alcotest.float 0.0) "repl no blocking" 0.0 repl.W.Figures.blocked;
   check Alcotest.bool "maestro blocks" true (maestro.W.Figures.blocked > 50.0);
   check Alcotest.bool "everyone correct" true
@@ -478,6 +498,7 @@ let () =
           tc "send_n" test_send_n;
           tc "send_n warmup boundary" test_send_n_warmup_boundary;
           tc "spread across nodes" test_load_spread_across_nodes;
+          tc "late clock keeps the rate" test_late_clock_keeps_rate;
         ] );
       ( "ascii",
         [
